@@ -534,18 +534,26 @@ BenchResult bench_obs_snapshot(bool tiny) {
   engine::ChurnDriver driver(engine, churn);
   TimerStat& read_timer = metrics().timer("obs.snapshot_read");
 
+  std::atomic<bool> started{false};
   std::atomic<bool> done{false};
   std::uint64_t reads = 0;
   std::uint64_t inconsistent = 0;
   std::thread reader([&] {
-    while (!done.load(std::memory_order_relaxed)) {
+    const auto sweep = [&] {
       for (std::size_t s = 0; s < engine.shard_count(); ++s) {
         ScopedTimer timer(read_timer);
         if (!engine.health_snapshot(s).consistent()) ++inconsistent;
         ++reads;
       }
-    }
+    };
+    sweep();
+    started.store(true, std::memory_order_release);
+    started.notify_one();
+    while (!done.load(std::memory_order_relaxed)) sweep();
   });
+  // Start handshake: the churn begins only after the reader's first sweep,
+  // so reads > 0 holds however late the scheduler runs the reader.
+  started.wait(false, std::memory_order_acquire);
   ThreadPool pool(churn.workers);
   const engine::ChurnStats stats = driver.run(pool);
   done.store(true, std::memory_order_relaxed);
@@ -666,12 +674,13 @@ BenchResult bench_engine_soak(bool tiny) {
   churn.queue_depth = 128;
   engine::ChurnDriver driver(engine, churn);
   TimerStat& probe_timer = metrics().timer("engine.find_session_ns");
+  std::atomic<bool> started{false};
   std::atomic<bool> done{false};
   std::uint64_t probes = 0;
   std::uint64_t misdecoded = 0;
   std::thread prober([&] {
     std::size_t at = 0;
-    while (!done.load(std::memory_order_relaxed)) {
+    const auto probe_once = [&] {
       const engine::SessionId id = filled[at % filled.size()];
       at += 7919;  // co-prime stride: sweep the table, not one hot line
       ScopedTimer timer(probe_timer);
@@ -680,8 +689,15 @@ BenchResult bench_engine_soak(bool tiny) {
       if (probe && probe->slot != ThreeStageNetwork::slot_of_id(id.connection)) {
         ++misdecoded;
       }
-    }
+    };
+    probe_once();
+    started.store(true, std::memory_order_release);
+    started.notify_one();
+    while (!done.load(std::memory_order_relaxed)) probe_once();
   });
+  // Start handshake: the churn begins only after the first probe, so
+  // probes > 0 holds however late the scheduler runs the prober.
+  started.wait(false, std::memory_order_acquire);
   ThreadPool pool(1);
   const engine::ChurnStats stats = driver.run(pool);
   done.store(true, std::memory_order_relaxed);

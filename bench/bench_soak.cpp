@@ -237,16 +237,24 @@ int main(int argc, char** argv) {
     const bool sample = telemetry_path != nullptr && *telemetry_path != '\0';
     if (sample) sampler.start();
 
+    std::atomic<bool> started{false};
     std::atomic<bool> done{false};
     std::thread prober([&] {
       std::size_t at = 0;
-      while (!done.load(std::memory_order_relaxed)) {
+      const auto probe_once = [&] {
         const SessionId id = filled[at % filled.size()];
         at += 7919;  // co-prime stride: sweep the table, not one hot line
         ScopedTimer timer(churn_timer);
         (void)engine.find_session(id);
-      }
+      };
+      probe_once();
+      started.store(true, std::memory_order_release);
+      started.notify_one();
+      while (!done.load(std::memory_order_relaxed)) probe_once();
     });
+    // Start handshake: the churn begins only after the first probe, so the
+    // prober is already running when the queues saturate.
+    started.wait(false, std::memory_order_acquire);
     const auto start = std::chrono::steady_clock::now();
     const ChurnStats stats = driver.run(pool);
     const double wall = seconds_since(start);

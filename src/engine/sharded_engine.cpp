@@ -1,7 +1,6 @@
 #include "engine/sharded_engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <exception>
 #include <iostream>
 #include <stdexcept>
@@ -109,7 +108,7 @@ void ShardedEngine::publish_health(Shard& shard) {
   words[2] = params.m;
   words[3] = params.r;
   words[4] = network.active_connections();
-  // words[5] (busy_middle_lanes) filled below from the occupancy sweep.
+  // words[5] (busy_middle_lanes) filled below from the per-middle counts.
   words[6] = shard.connects;
   words[7] = shard.disconnects;
   words[8] = shard.grows;
@@ -130,14 +129,10 @@ void ShardedEngine::publish_health(Shard& shard) {
   words[16] = repacker == nullptr ? 0 : repacker->max_chain_length();
 
   std::uint64_t busy = 0;
-  std::size_t cursor = obs::EngineHealthSnapshot::kHeaderWords;
   for (std::size_t j = 0; j < params.m; ++j) {
-    const std::uint64_t* row = network.middle_module(j).out_words();
-    for (std::size_t p = 0; p < params.r; ++p) {
-      const std::uint64_t word = row[p];
-      words[cursor++] = word;
-      busy += static_cast<std::uint64_t>(std::popcount(word));
-    }
+    const std::uint64_t lanes = network.middle_module(j).busy_out_lanes();
+    words[obs::EngineHealthSnapshot::kHeaderWords + j] = lanes;
+    busy += lanes;
   }
   words[5] = busy;
 

@@ -82,6 +82,7 @@ SwitchModule::TransitId SwitchModule::add_transit(
   }
   in_used_[in.port] |= 1ull << in.lane;
   for (const auto& out : outs) out_used_[out.port] |= 1ull << out.lane;
+  busy_out_lanes_ += outs.size();  // check_transit rejected busy lanes
 
   std::uint32_t slot;
   if (!free_transit_slots_.empty()) {
@@ -110,6 +111,7 @@ void SwitchModule::remove_transit(TransitId id) {
   TransitSlot& entry = transit_slots_[slot];
   in_used_[entry.in.port] &= ~(1ull << entry.in.lane);
   for (const auto& out : entry.outs) out_used_[out.port] &= ~(1ull << out.lane);
+  busy_out_lanes_ -= entry.outs.size();
   entry.active = false;
   --active_transits_;
   free_transit_slots_.push_back(slot);
@@ -166,6 +168,14 @@ void SwitchModule::self_check() const {
   if (in_expected != in_used_ || out_expected != out_used_) {
     throw std::logic_error("SwitchModule[" + name_ +
                            "]: occupancy bitmap diverged from transit list");
+  }
+  std::size_t busy = 0;
+  for (const std::uint64_t word : out_used_) {
+    busy += static_cast<std::size_t>(std::popcount(word));
+  }
+  if (busy != busy_out_lanes_) {
+    throw std::logic_error("SwitchModule[" + name_ +
+                           "]: busy output-lane count diverged from bitmap");
   }
 }
 

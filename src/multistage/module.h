@@ -98,6 +98,11 @@ class SwitchModule {
 
   [[nodiscard]] std::size_t active_transits() const { return active_transits_; }
 
+  /// Busy output lanes summed over every output port: the popcount of
+  /// out_words(), kept incrementally by add_transit/remove_transit so the
+  /// engine's health publish reads it in O(1).
+  [[nodiscard]] std::size_t busy_out_lanes() const { return busy_out_lanes_; }
+
   /// Recompute occupancy from the transit list and compare with the cached
   /// bitmaps; throws std::logic_error on divergence. Used by network
   /// self-checks and the property tests.
@@ -134,6 +139,7 @@ class SwitchModule {
   std::vector<TransitSlot> transit_slots_;
   std::vector<std::uint32_t> free_transit_slots_;
   std::size_t active_transits_ = 0;
+  std::size_t busy_out_lanes_ = 0;
 };
 
 }  // namespace wdm

@@ -1,6 +1,7 @@
 #include "obs/health_snapshot.h"
 
-#include <bit>
+#include <algorithm>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,24 +20,6 @@ std::int64_t from_word(std::uint64_t word) {
 
 }  // namespace
 
-std::uint64_t EngineHealthSnapshot::middle_busy_lanes(std::size_t j) const {
-  std::uint64_t busy = 0;
-  const std::size_t r = links_per_middle;
-  for (std::size_t p = 0; p < r; ++p) {
-    busy += static_cast<std::uint64_t>(
-        std::popcount(middle_out_words[j * r + p]));
-  }
-  return busy;
-}
-
-std::uint64_t EngineHealthSnapshot::occupancy_popcount() const {
-  std::uint64_t busy = 0;
-  for (const std::uint64_t word : middle_out_words) {
-    busy += static_cast<std::uint64_t>(std::popcount(word));
-  }
-  return busy;
-}
-
 std::int64_t EngineHealthSnapshot::recomputed_margin() const {
   const std::uint64_t effective =
       failed_middles >= middle_count ? 0 : middle_count - failed_middles;
@@ -45,9 +28,9 @@ std::int64_t EngineHealthSnapshot::recomputed_margin() const {
 }
 
 bool EngineHealthSnapshot::consistent() const {
-  return middle_out_words.size() ==
-             static_cast<std::size_t>(middle_count) * links_per_middle &&
-         occupancy_popcount() == busy_middle_lanes &&
+  return middle_busy.size() == middle_count &&
+         std::accumulate(middle_busy.begin(), middle_busy.end(),
+                         std::uint64_t{0}) == busy_middle_lanes &&
          recomputed_margin() == margin && nonblocking == (margin >= 0);
 }
 
@@ -83,9 +66,7 @@ void EngineHealthSnapshot::encode(std::uint64_t* words) const {
   words[14] = nonblocking ? 1 : 0;
   words[15] = repack_moves;
   words[16] = repack_max_chain;
-  for (std::size_t i = 0; i < middle_out_words.size(); ++i) {
-    words[kHeaderWords + i] = middle_out_words[i];
-  }
+  std::copy(middle_busy.begin(), middle_busy.end(), words + kHeaderWords);
 }
 
 EngineHealthSnapshot EngineHealthSnapshot::decode(const std::uint64_t* words,
@@ -112,15 +93,12 @@ EngineHealthSnapshot EngineHealthSnapshot::decode(const std::uint64_t* words,
   snapshot.nonblocking = words[14] != 0;
   snapshot.repack_moves = words[15];
   snapshot.repack_max_chain = words[16];
-  const std::size_t payload =
-      static_cast<std::size_t>(snapshot.middle_count) *
-      snapshot.links_per_middle;
-  if (count < kHeaderWords + payload) {
+  if (count < kHeaderWords + snapshot.middle_count) {
     throw std::invalid_argument(
-        "EngineHealthSnapshot::decode: occupancy payload truncated");
+        "EngineHealthSnapshot::decode: busy-lane payload truncated");
   }
-  snapshot.middle_out_words.assign(words + kHeaderWords,
-                                   words + kHeaderWords + payload);
+  snapshot.middle_busy.assign(words + kHeaderWords,
+                              words + kHeaderWords + snapshot.middle_count);
   return snapshot;
 }
 

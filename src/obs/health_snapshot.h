@@ -33,9 +33,12 @@
 // obs.snapshot_retries counter tracks them).
 //
 // The snapshot itself carries what the wire-protocol front-end's admission
-// control will need: live session count, the raw per-middle-module lane
-// occupancy words (popcount-able into a heatmap), the Theorem-1/2 margin
-// under the shard's current fault state, and cumulative churn tallies.
+// control will need: live session count, the busy-lane count of each middle
+// module (17 + m words in all, kept incrementally by SwitchModule so a
+// publish is O(m)), the Theorem-1/2 margin under the shard's current fault
+// state, and cumulative churn tallies. Per-link occupancy words are not
+// published; they stay readable through ShardedEngine::shard_switch(s)
+// while holding shard_mutex(s).
 #pragma once
 
 #include <atomic>
@@ -59,8 +62,7 @@ struct EngineHealthSnapshot {
 
   /// Live sessions on this shard.
   std::uint64_t sessions = 0;
-  /// Writer-side popcount over middle_out_words (readers cross-check it:
-  /// see consistent()).
+  /// Sum of middle_busy (readers cross-check it: see consistent()).
   std::uint64_t busy_middle_lanes = 0;
 
   // Cumulative per-shard churn tallies since engine construction. These are
@@ -86,31 +88,31 @@ struct EngineHealthSnapshot {
   std::uint64_t repack_moves = 0;
   std::uint64_t repack_max_chain = 0;
 
-  /// Raw occupancy: for middle module j and outgoing link p (to output
-  /// module p), word [j * links_per_middle + p] has bit `lane` set iff that
-  /// lane is busy. Exactly the SwitchModule::out_word() view, republished.
-  std::vector<std::uint64_t> middle_out_words;
+  /// middle_busy[j] = busy lanes on middle module j's outgoing links, i.e.
+  /// SwitchModule::busy_out_lanes() of that module. One word per middle.
+  std::vector<std::uint64_t> middle_busy;
 
-  /// Busy lanes on middle module j's outgoing links (popcount of its row).
-  [[nodiscard]] std::uint64_t middle_busy_lanes(std::size_t j) const;
-  /// Popcount over all occupancy words; equals busy_middle_lanes for any
-  /// snapshot decoded from a consistent seqlock read.
-  [[nodiscard]] std::uint64_t occupancy_popcount() const;
+  /// Busy lanes on middle module j's outgoing links.
+  [[nodiscard]] std::uint64_t middle_busy_lanes(std::size_t j) const {
+    return middle_busy[j];
+  }
   /// Margin recomputed from (middle_count, failed_middles, bound_m); equals
   /// `margin` for any consistent snapshot.
   [[nodiscard]] std::int64_t recomputed_margin() const;
-  /// Internal consistency: occupancy popcount and margin both match their
-  /// published aggregates. The seqlock hammer asserts this under full-rate
-  /// churn.
+  /// Internal consistency: one count per middle, and their sum and the
+  /// margin match the published aggregates. The seqlock hammer asserts this
+  /// under full-rate churn.
   [[nodiscard]] bool consistent() const;
 
   [[nodiscard]] std::string to_string() const;
 
   // -- flat wire encoding (what the seqlock slot stores) --------------------
   static constexpr std::size_t kHeaderWords = 17;
-  /// Words needed for a geometry with m middle modules and r links each.
-  [[nodiscard]] static std::size_t encoded_words(std::size_t m, std::size_t r) {
-    return kHeaderWords + m * r;
+  /// Words needed for a geometry with m middle modules: the header plus one
+  /// busy-lane count per middle. `r` does not enter the size.
+  [[nodiscard]] static std::size_t encoded_words(std::size_t m,
+                                                 std::size_t /*r*/) {
+    return kHeaderWords + m;
   }
   /// Serialize into `words` (size must be >= encoded_words(...)).
   void encode(std::uint64_t* words) const;

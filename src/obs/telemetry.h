@@ -51,7 +51,7 @@ namespace wdm::obs {
 inline constexpr std::string_view kTelemetrySchema = "wdm-telemetry/1";
 
 struct TelemetryConfig {
-  /// Background sampling period. The sampler reads ~shards * (15 + m*r)
+  /// Background sampling period. The sampler reads ~shards * (17 + m)
   /// relaxed-atomic words per sample; even 1 ms periods cost the engine
   /// nothing but occasional seqlock retries.
   std::chrono::milliseconds interval{25};

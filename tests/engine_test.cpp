@@ -7,11 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <future>
 #include <set>
+#include <string>
 
 #include "engine/sharded_engine.h"
+#include "faults/fault_model.h"
+#include "sim/request.h"
+#include "util/rng.h"
 
 namespace wdm::engine {
 namespace {
@@ -143,6 +148,177 @@ TEST(ShardedEngine, BlockedGrowRollsBackToTheOriginalRoute) {
   EXPECT_EQ(entry->second, route_before);
   EXPECT_EQ(entry->first.outputs.size(), 1u);
   EXPECT_EQ(engine.active_sessions(), 2u);
+  engine.self_check();
+}
+
+// The health snapshot publishes each middle module's busy_out_lanes()
+// instead of its per-link words. At quiescence every published count must
+// equal the popcount of that middle's out_words() on every shard.
+void expect_busy_matches_fabric(ShardedEngine& engine, const std::string& when) {
+  for (std::size_t s = 0; s < engine.shard_count(); ++s) {
+    const obs::EngineHealthSnapshot snapshot = engine.health_snapshot(s);
+    ASSERT_TRUE(snapshot.consistent()) << when << ", shard " << s;
+    const ThreeStageNetwork& network = engine.shard_switch(s).network();
+    const ClosParams& params = network.params();
+    ASSERT_EQ(snapshot.middle_busy.size(), params.m) << when;
+    for (std::size_t j = 0; j < params.m; ++j) {
+      const std::uint64_t* words = network.middle_module(j).out_words();
+      std::uint64_t busy = 0;
+      for (std::size_t p = 0; p < params.r; ++p) busy += std::popcount(words[p]);
+      EXPECT_EQ(snapshot.middle_busy_lanes(j), busy)
+          << when << ", shard " << s << ", middle " << j;
+    }
+  }
+}
+
+std::uint64_t published_busy(const ShardedEngine& engine) {
+  std::uint64_t busy = 0;
+  for (const auto& snapshot : engine.health_snapshots()) {
+    busy += snapshot.busy_middle_lanes;
+  }
+  return busy;
+}
+
+TEST(ShardedEngine, PublishedMiddleBusyTracksEverySessionOp) {
+  ShardedEngine engine(small_config());
+  expect_busy_matches_fabric(engine, "empty");
+  std::size_t shard = 0;
+  while (engine.owned_ports(shard).size() < 2) ++shard;
+  const std::size_t source_a = engine.owned_ports(shard)[0];
+  const std::size_t source_b = engine.owned_ports(shard)[1];
+
+  const auto session = engine.connect({{source_a, 0}, {{3, 0}}});
+  ASSERT_TRUE(session.has_value());
+  expect_busy_matches_fabric(engine, "connect");
+  EXPECT_GT(published_busy(engine), 0u);
+
+  const GrowResult grown = engine.grow(*session, {4, 0});
+  ASSERT_EQ(grown.status, GrowResult::Status::kGrown);
+  expect_busy_matches_fabric(engine, "grown grow");
+  SessionId current{session->shard, grown.connection};
+
+  const auto blocker = engine.connect({{source_b, 0}, {{5, 0}}});
+  ASSERT_TRUE(blocker.has_value());
+  const GrowResult blocked = engine.grow(current, {5, 0});
+  ASSERT_EQ(blocked.status, GrowResult::Status::kBlocked);
+  expect_busy_matches_fabric(engine, "blocked grow rolled back");
+  current.connection = blocked.connection;
+
+  EXPECT_FALSE(engine.disconnect(*session));
+  EXPECT_EQ(engine.grow(*session, {6, 0}).status,
+            GrowResult::Status::kStaleSession);
+  expect_busy_matches_fabric(engine, "stale ops");
+
+  // Blocked at home by the blocker, so the grown copy migrates to another
+  // shard: both the source and the target shard republish.
+  const CrossGrowResult moved = engine.grow_anywhere(current, {5, 0});
+  ASSERT_EQ(moved.status, GrowResult::Status::kGrown);
+  EXPECT_NE(moved.session.shard, shard);
+  expect_busy_matches_fabric(engine, "grow_anywhere");
+
+  EXPECT_TRUE(engine.disconnect(moved.session));
+  EXPECT_TRUE(engine.disconnect(*blocker));
+  expect_busy_matches_fabric(engine, "disconnect");
+  EXPECT_EQ(published_busy(engine), 0u);
+  engine.self_check();
+}
+
+TEST(ShardedEngine, PublishedMiddleBusyTracksRepackAdmitsAndRollbacks) {
+  // Below the Theorem-1 bound (m = 4 < 13) with repack on: the cover search
+  // fails often, repack migrates standing sessions, and every other repack
+  // transaction is killed mid-chain and rolled back.
+  EngineConfig config;
+  config.params = {4, 4, 4, 2};
+  config.shards = 1;
+  config.repack.enabled = true;
+  ShardedEngine engine(config);
+  repack::RepackEngine& repacker = *engine.shard_switch(0).repack_engine();
+  bool kill = false;
+  std::size_t rollbacks = 0;
+  repacker.set_failure_injection([&](std::size_t /*moves_so_far*/) {
+    if (!kill) return false;
+    ++rollbacks;
+    return true;
+  });
+
+  Rng rng(0x8E9AC4);
+  std::vector<SessionId> live;
+  std::size_t repack_admits = 0;
+  std::size_t attempts = 0;
+  for (int step = 0; step < 4000 && (repack_admits < 3 || rollbacks < 3); ++step) {
+    if (live.empty() || rng.next_bool(0.8)) {
+      const auto request = random_admissible_request(
+          rng, engine.shard_switch(0).network(), FanoutRange{1, 4});
+      if (!request) continue;
+      kill = ++attempts % 2 == 0;
+      const std::size_t rollbacks_before = rollbacks;
+      const auto id = engine.connect(*request);
+      if (id) {
+        live.push_back(*id);
+        for (const auto& [old_id, new_id] : repacker.last_moved()) {
+          std::find(live.begin(), live.end(), SessionId{0, old_id})->connection = new_id;
+        }
+        if (!repacker.last_moved().empty()) {
+          ++repack_admits;
+          expect_busy_matches_fabric(engine, "repack admit");
+        }
+      } else if (rollbacks != rollbacks_before) {
+        expect_busy_matches_fabric(engine, "repack rollback");
+      }
+    } else {
+      const std::size_t victim = rng.next_below(live.size());
+      ASSERT_TRUE(engine.disconnect(live[victim]));
+      live[victim] = live.back();
+      live.pop_back();
+    }
+  }
+  EXPECT_GE(repack_admits, 3u);
+  EXPECT_GE(rollbacks, 3u);
+  expect_busy_matches_fabric(engine, "end of repack churn");
+  engine.self_check();
+}
+
+TEST(ShardedEngine, PublishedMiddleBusyHoldsWithFailedMiddles) {
+  EngineConfig config = small_config();
+  config.params = {2, 4, 5, 2};  // two spare middles over Theorem 1's 3
+  // Declared before the engine so the attached models outlive its shards.
+  std::vector<std::unique_ptr<FaultModel>> faults;
+  ShardedEngine engine(config);
+  for (std::size_t s = 0; s < engine.shard_count(); ++s) {
+    faults.push_back(std::make_unique<FaultModel>(config.params));
+    faults.back()->fail_middle(s % config.params.m);
+    faults.back()->fail_middle((s + 2) % config.params.m);
+    engine.shard_switch(s).network().attach_fault_model(faults.back().get());
+    // A stale op republishes, so the snapshot picks up the fault state even
+    // on a shard that owns no source ports.
+    EXPECT_FALSE(engine.disconnect({static_cast<std::uint32_t>(s), ~ConnectionId{0}}));
+  }
+  Rng rng(0xFA117);
+  std::vector<SessionId> live;
+  for (int step = 0; step < 300; ++step) {
+    if (live.empty() || rng.next_bool(0.65)) {
+      const std::size_t port = rng.next_below(engine.port_count());
+      const auto request = random_admissible_request(
+          rng, engine.shard_switch(engine.shard_of(port)).network(),
+          FanoutRange{1, 3}, {port});
+      if (!request) continue;
+      if (const auto id = engine.connect(*request)) live.push_back(*id);
+    } else {
+      const std::size_t victim = rng.next_below(live.size());
+      ASSERT_TRUE(engine.disconnect(live[victim]));
+      live[victim] = live.back();
+      live.pop_back();
+    }
+    expect_busy_matches_fabric(engine, "faulted step " + std::to_string(step));
+  }
+  EXPECT_GT(published_busy(engine), 0u);
+  for (std::size_t s = 0; s < engine.shard_count(); ++s) {
+    const obs::EngineHealthSnapshot snapshot = engine.health_snapshot(s);
+    EXPECT_EQ(snapshot.failed_middles, 2u);
+    for (const std::size_t j : {s % config.params.m, (s + 2) % config.params.m}) {
+      EXPECT_EQ(snapshot.middle_busy_lanes(j), 0u) << "failed middle " << j;
+    }
+  }
   engine.self_check();
 }
 

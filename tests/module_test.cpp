@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <tuple>
+
 #include "util/rng.h"
 
 namespace wdm {
@@ -225,6 +228,80 @@ TEST(SwitchModule, SelfCheckPassesUnderChurn) {
     module.self_check();
   }
 }
+
+// busy_out_lanes() is maintained incrementally by add_transit and
+// remove_transit; the engine publishes it instead of popcounting out_words().
+// Under random churn obeying each model's lane discipline -- including
+// rejected adds, which must leave the count alone -- it must equal the
+// bitmap's popcount after every step, at k = 64 too.
+class BusyOutLanesChurn
+    : public ::testing::TestWithParam<std::tuple<MulticastModel, std::size_t>> {};
+
+TEST_P(BusyOutLanesChurn, CountMatchesBitmapPopcount) {
+  const auto [model, lanes] = GetParam();
+  constexpr std::size_t kPorts = 6;
+  Rng rng(0xB05 + lanes);
+  SwitchModule module(kPorts, kPorts, lanes, model);
+  const auto popcount = [&] {
+    std::size_t busy = 0;
+    for (std::size_t p = 0; p < kPorts; ++p) {
+      busy += static_cast<std::size_t>(std::popcount(module.out_words()[p]));
+    }
+    return busy;
+  };
+  const auto random_lane = [&] {
+    return static_cast<Wavelength>(rng.next_below(lanes));
+  };
+
+  std::vector<SwitchModule::TransitId> live;
+  std::size_t added = 0;
+  std::size_t rejected = 0;
+  for (int step = 0; step < 2000; ++step) {
+    if (live.empty() || rng.next_bool(0.6)) {
+      const ModulePortLane in{rng.next_below(kPorts), random_lane()};
+      const Wavelength shared =
+          model == MulticastModel::kMSW ? in.lane : random_lane();
+      std::vector<ModulePortLane> outs;
+      const std::size_t fanout = 1 + rng.next_below(kPorts);
+      for (std::size_t port = 0; port < kPorts && outs.size() < fanout; ++port) {
+        if (rng.next_bool(0.5)) {
+          outs.push_back({port, model == MulticastModel::kMAW ? random_lane()
+                                                              : shared});
+        }
+      }
+      if (outs.empty()) outs.push_back({rng.next_below(kPorts), shared});
+      const std::size_t before = module.busy_out_lanes();
+      if (module.check_transit(in, outs)) {
+        EXPECT_THROW(module.add_transit(in, outs), std::logic_error);
+        EXPECT_EQ(module.busy_out_lanes(), before);
+        ++rejected;
+      } else {
+        live.push_back(module.add_transit(in, outs));
+        EXPECT_EQ(module.busy_out_lanes(), before + outs.size());
+        ++added;
+      }
+    } else {
+      const std::size_t victim = rng.next_below(live.size());
+      module.remove_transit(live[victim]);
+      live[victim] = live.back();
+      live.pop_back();
+    }
+    ASSERT_EQ(module.busy_out_lanes(), popcount()) << "step " << step;
+    module.self_check();
+  }
+  EXPECT_GT(added, 100u);
+  EXPECT_GT(rejected, 0u);
+  for (const auto id : live) module.remove_transit(id);
+  EXPECT_EQ(module.busy_out_lanes(), 0u);
+  module.self_check();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, BusyOutLanesChurn,
+    ::testing::Combine(::testing::Values(MulticastModel::kMSW,
+                                         MulticastModel::kMSDW,
+                                         MulticastModel::kMAW),
+                       ::testing::Values(std::size_t{3}, SwitchModule::kMaxLanes)));
 
 }  // namespace
 }  // namespace wdm

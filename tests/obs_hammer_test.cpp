@@ -99,13 +99,12 @@ TEST(SeqlockHammer, EngineSnapshotsStayConsistentUnderFullRateChurn) {
           const EngineHealthSnapshot snapshot = engine.health_snapshot(s);
           reads.fetch_add(1, std::memory_order_relaxed);
           // The hammer's whole point: mid-churn snapshots are internally
-          // consistent -- occupancy popcount == the writer's busy sum, and
-          // the published margin matches recomputation.
+          // consistent -- the per-middle counts sum to the writer's busy
+          // total, and the published margin matches recomputation.
           if (!snapshot.consistent()) {
             inconsistent.fetch_add(1, std::memory_order_relaxed);
           }
-          if (snapshot.occupancy_popcount() != snapshot.busy_middle_lanes ||
-              snapshot.recomputed_margin() != snapshot.margin) {
+          if (snapshot.recomputed_margin() != snapshot.margin) {
             inconsistent.fetch_add(1, std::memory_order_relaxed);
           }
           if (snapshot.version < last_version[s]) {

@@ -59,9 +59,7 @@ EngineHealthSnapshot sample_snapshot() {
   snapshot.failed_middles = 1;
   snapshot.margin = -3;  // (3 - 1) - 5: negative margins must round-trip
   snapshot.nonblocking = false;
-  snapshot.middle_out_words.assign(3 * 4, 0);
-  snapshot.middle_out_words[0] = 0b1011;  // 3 busy lanes on middle 0, link 0
-  snapshot.middle_out_words[5] = 0b1;     // 1 busy lane on middle 1, link 1
+  snapshot.middle_busy = {3, 1, 0};  // busy lanes on middles 0, 1, 2
   snapshot.busy_middle_lanes = 4;
   return snapshot;
 }
@@ -72,9 +70,11 @@ TEST(EngineHealthSnapshot, EncodeDecodeRoundTrip) {
   EXPECT_EQ(original.middle_busy_lanes(0), 3u);
   EXPECT_EQ(original.middle_busy_lanes(1), 1u);
   EXPECT_EQ(original.middle_busy_lanes(2), 0u);
-  EXPECT_EQ(original.occupancy_popcount(), 4u);
   EXPECT_EQ(original.recomputed_margin(), -3);
 
+  // One word per middle after the header; the link count does not enter.
+  ASSERT_EQ(EngineHealthSnapshot::encoded_words(3, 4),
+            EngineHealthSnapshot::kHeaderWords + 3);
   std::vector<std::uint64_t> words(
       EngineHealthSnapshot::encoded_words(3, 4), 0);
   original.encode(words.data());
@@ -96,8 +96,17 @@ TEST(EngineHealthSnapshot, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.failed_middles, original.failed_middles);
   EXPECT_EQ(decoded.margin, original.margin);
   EXPECT_EQ(decoded.nonblocking, original.nonblocking);
-  EXPECT_EQ(decoded.middle_out_words, original.middle_out_words);
+  EXPECT_EQ(decoded.middle_busy, original.middle_busy);
   EXPECT_TRUE(decoded.consistent());
+}
+
+TEST(EngineHealthSnapshot, ConsistentRejectsMismatchedBusyCounts) {
+  EngineHealthSnapshot wrong_sum = sample_snapshot();
+  wrong_sum.middle_busy[2] = 1;  // sums to 5, header says 4
+  EXPECT_FALSE(wrong_sum.consistent());
+  EngineHealthSnapshot wrong_size = sample_snapshot();
+  wrong_size.middle_busy.push_back(0);  // 4 counts for 3 middles
+  EXPECT_FALSE(wrong_size.consistent());
 }
 
 TEST(EngineHealthSnapshot, DecodeRejectsTruncatedBuffers) {
@@ -105,7 +114,7 @@ TEST(EngineHealthSnapshot, DecodeRejectsTruncatedBuffers) {
   std::vector<std::uint64_t> words(
       EngineHealthSnapshot::encoded_words(3, 4), 0);
   original.encode(words.data());
-  // Shorter than the header, and shorter than header + occupancy payload.
+  // Shorter than the header, and shorter than header + busy-lane payload.
   EXPECT_THROW((void)EngineHealthSnapshot::decode(words.data(), 3),
                std::invalid_argument);
   EXPECT_THROW(
