@@ -107,54 +107,6 @@ int main() {
   table.print(std::cout);
   std::cout << "\n";
 
-  // Batched-arrival axis (DESIGN.md §3.10): the same churn pushed through
-  // per-shard connect_batch buffers. Batched mode trades the grow/stale mix
-  // for pure connect/disconnect churn, so it carries its own serial
-  // reference (connect_batch = 1); every batch size x worker count must
-  // reproduce it bit-identically -- the batch is pure amortization.
-  std::cout << "Batched arrivals: connect_batch x workers, same contract.\n\n";
-  auto batched_config = [](std::size_t workers, std::size_t batch) {
-    ChurnConfig config = churn_config(workers);
-    config.connect_batch = batch;
-    return config;
-  };
-  ShardedEngine batched_reference_engine(config);
-  ChurnDriver batched_reference_driver(batched_reference_engine,
-                                       batched_config(1, 1));
-  const auto batched_serial_start = std::chrono::steady_clock::now();
-  const ChurnStats batched_reference = batched_reference_driver.run_serial();
-  const double batched_serial_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - batched_serial_start)
-          .count();
-
-  Table batched_table(
-      {"batch", "workers", "wall ms", "ops/s", "admitted", "identical"});
-  batched_table.add(1, "serial", batched_serial_ms,
-                    total_ops / (batched_serial_ms / 1000.0),
-                    batched_reference.total.sim.admitted, "ref");
-  for (const std::size_t batch : {1u, 8u, 32u}) {
-    for (const std::size_t workers : {1u, 4u}) {
-      ShardedEngine engine(config);
-      ChurnDriver driver(engine, batched_config(workers, batch));
-      ThreadPool pool(workers);
-      const auto start = std::chrono::steady_clock::now();
-      const ChurnStats stats = driver.run(pool);
-      const double wall_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - start)
-                                 .count();
-      const bool identical =
-          stats == batched_reference &&
-          stats.leftover_sessions == engine.active_sessions();
-      ok = ok && identical;
-      batched_table.add(batch, workers, wall_ms,
-                        total_ops / (wall_ms / 1000.0),
-                        stats.total.sim.admitted, identical ? "yes" : "NO");
-    }
-  }
-  batched_table.print(std::cout);
-  std::cout << "\n";
-
   // Queued submission axis (DESIGN.md §3.13): the same classic churn pushed
   // through the single-writer ShardExecutor instead of per-shard mutexes.
   // Identical streams, identical reference -- the only things allowed to
@@ -187,9 +139,9 @@ int main() {
   queued_table.print(std::cout);
   std::cout << "\n";
 
-  std::cout << (ok ? "OK: every worker count and batch size reproduced the "
+  std::cout << (ok ? "OK: every worker count and queue depth reproduced the "
                      "reference counters bit-identically.\n"
-                   : "FAIL: thread count or batch size changed results, or a "
+                   : "FAIL: thread count or queue depth changed results, or a "
                      "stale id was accepted.\n");
   return ok ? 0 : 1;
 }

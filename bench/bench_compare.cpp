@@ -18,10 +18,10 @@
 //      comparable, the structure and invariants still are. Numeric checks
 //      also auto-skip when the two artifacts' "tiny" flags differ.
 //
-// Thresholds come from tools/bench_thresholds.json (--thresholds=<path>);
-// sane defaults are compiled in so the tool runs without the file.
+// Thresholds come from tools/bench_thresholds.json (--thresholds=<path>,
+// required): the file is the only copy, every field must be present.
 //
-// Flags: --baseline=<path> --current=<path> [--thresholds=<path>]
+// Flags: --baseline=<path> --current=<path> --thresholds=<path>
 //        [--tiny-safe] [--self-test]
 // Exit: 0 = no regression, 1 = regression detected, 2 = usage/parse error.
 //
@@ -44,67 +44,32 @@ using namespace wdm;
 namespace {
 
 struct Thresholds {
-  double wall_ms_ratio = 1.6;   // current/baseline wall clock
-  double min_wall_ms = 5.0;     // below this the wall clock is noise
-  double p99_ratio = 3.0;       // current/baseline timer p99
-  double min_p99_ns = 20000.0;  // below this the p99 is noise
-  double counter_default_ratio = 1.25;
-  double min_counter = 100.0;   // below this a counter is too small to ratio
+  double wall_ms_ratio = 0;  // current/baseline wall clock
+  double min_wall_ms = 0;    // below this the wall clock is noise
+  double p99_ratio = 0;      // current/baseline timer p99
+  double min_p99_ns = 0;     // below this the p99 is noise
+  double min_counter = 0;    // below this a counter is too small to ratio
   // Counters gated per-name (work metrics: more of these = slower even when
   // wall clock is too noisy to see it).
-  std::map<std::string, double> counter_ratios = {
-      {"routing.middle_probes", 1.3},
-      {"routing.spread_expansions", 1.3},
-      {"routing.route_attempts", 1.2},
-      {"routing.connects", 1.2},
-      {"sim.blocked", 1.05},  // growth in blocking is a correctness smell
-      // Deterministic per-op tallies: any growth means the hot path gained
-      // work (observability publication included), so the band is tight.
-      {"engine.connects", 1.01},
-      {"engine.disconnects", 1.01},
-      {"engine.grows", 1.01},
-      {"engine.grow_blocked", 1.01},
-      {"engine.stale_rejected", 1.01},
-      {"engine.batches", 1.01},
-      {"obs.snapshot_publishes", 1.01},
-      // Repack cost tallies (deterministic sims): more admits needing
-      // migration or more sessions moved per run = the planner got worse.
-      {"repack.admits", 1.01},
-      {"repack.sessions_moved", 1.01},
-      {"repack.failed", 1.01},
-  };
+  std::map<std::string, double> counter_ratios;
   // Timers whose p99 is gated.
-  std::vector<std::string> p99_timers = {
-      "routing.find_route",     "routing.batch_amortized_ns",
-      "sim.connect",            "sim.disconnect",
-      "converter_pool.acquire", "thread_pool.task_run",
-      "engine.drain_batch",     "engine.op_wait_ns",
-      "engine.find_session_ns", "obs.snapshot_read",
-      "repack.migrate_ns",
-  };
+  std::vector<std::string> p99_timers;
 };
 
+/// Every field is required: a missing key throws (exit 2), so a thresholds
+/// file can never silently fall back to a value kept somewhere else.
 Thresholds load_thresholds(const JsonValue& root) {
   Thresholds t;
-  if (const JsonValue* v = root.find("wall_ms_ratio")) t.wall_ms_ratio = v->as_number();
-  if (const JsonValue* v = root.find("min_wall_ms")) t.min_wall_ms = v->as_number();
-  if (const JsonValue* v = root.find("p99_ratio")) t.p99_ratio = v->as_number();
-  if (const JsonValue* v = root.find("min_p99_ns")) t.min_p99_ns = v->as_number();
-  if (const JsonValue* v = root.find("counter_default_ratio")) {
-    t.counter_default_ratio = v->as_number();
+  t.wall_ms_ratio = root.at("wall_ms_ratio").as_number();
+  t.min_wall_ms = root.at("min_wall_ms").as_number();
+  t.p99_ratio = root.at("p99_ratio").as_number();
+  t.min_p99_ns = root.at("min_p99_ns").as_number();
+  t.min_counter = root.at("min_counter").as_number();
+  for (const auto& [name, ratio] : root.at("counter_ratios").as_object()) {
+    t.counter_ratios.emplace(name, ratio.as_number());
   }
-  if (const JsonValue* v = root.find("min_counter")) t.min_counter = v->as_number();
-  if (const JsonValue* v = root.find("counter_ratios")) {
-    t.counter_ratios.clear();
-    for (const auto& [name, ratio] : v->as_object()) {
-      t.counter_ratios.emplace(name, ratio.as_number());
-    }
-  }
-  if (const JsonValue* v = root.find("p99_timers")) {
-    t.p99_timers.clear();
-    for (const JsonValue& name : v->as_array()) {
-      t.p99_timers.push_back(name.as_string());
-    }
+  for (const JsonValue& name : root.at("p99_timers").as_array()) {
+    t.p99_timers.push_back(name.as_string());
   }
   return t;
 }
@@ -259,7 +224,17 @@ std::string synthetic_artifact(bool tiny, bool ok, double wall_ms,
 }
 
 int run_self_test() {
-  const Thresholds t;
+  // Synthetic thresholds: the self-test checks the comparator's logic, not
+  // the committed values in tools/bench_thresholds.json.
+  Thresholds t;
+  t.wall_ms_ratio = 1.6;
+  t.min_wall_ms = 5.0;
+  t.p99_ratio = 3.0;
+  t.min_p99_ns = 20000.0;
+  t.min_counter = 100.0;
+  t.counter_ratios = {{"routing.middle_probes", 1.3},
+                      {"routing.route_attempts", 1.2}};
+  t.p99_timers = {"routing.find_route"};
   struct Case {
     const char* label;
     std::string baseline;
@@ -319,9 +294,7 @@ int main(int argc, char** argv) {
   CliParser cli(argc, argv);
   cli.describe("baseline", "committed BENCH_results.json to compare against");
   cli.describe("current", "freshly produced artifact");
-  cli.describe("thresholds",
-               "thresholds JSON (default: compiled-in; see "
-               "tools/bench_thresholds.json)");
+  cli.describe("thresholds", "thresholds JSON (tools/bench_thresholds.json)");
   cli.describe("tiny-safe",
                "structural checks only (fresh --tiny run vs full baseline)");
   cli.describe("self-test",
@@ -343,13 +316,15 @@ int main(int argc, char** argv) {
 
   const auto baseline_path = cli.get_string("baseline");
   const auto current_path = cli.get_string("current");
-  if (!baseline_path || !current_path) {
-    std::cerr << "bench_compare: --baseline and --current are required\n";
+  const auto thresholds_path = cli.get_string("thresholds");
+  if (!baseline_path || !current_path || !thresholds_path) {
+    std::cerr << "bench_compare: --baseline, --current and --thresholds are "
+                 "required\n";
     return 2;
   }
 
   Thresholds thresholds;
-  if (const auto thresholds_path = cli.get_string("thresholds")) {
+  {
     const auto root = parse_file(*thresholds_path);
     if (!root) return 2;
     try {

@@ -174,69 +174,6 @@ BenchResult bench_routing_hotpath(bool tiny) {
   return result;
 }
 
-BenchResult bench_routing_batched(bool tiny) {
-  // The batched request pipeline (DESIGN.md §3.10) on the hotpath geometry:
-  // the same dynamic churn pushed through connect_batch at batch sizes 1, 8,
-  // 128, and 32. Contract enforced here, not just documented: SimStats is
-  // bit-identical at every batch size (the batch path is pure amortization),
-  // and the amortized per-request p50 at batch 32 is at least 2x faster than
-  // batch 1. Sub-runs reset the metrics registry, so the emitted snapshot is
-  // the final batch-32 run -- the headline configuration, carrying the
-  // routing.batch_size / routing.batch_amortized_ns instruments.
-  const std::size_t batches[] = {1, 8, 128, 32};
-  std::size_t p50[129] = {};
-  SimStats reference;
-  bool stats_identical = true;
-  bool never_blocked = true;
-  bool have_reference = false;
-  // Each sub-run takes ~25ms, long enough for a scheduler or VM noise burst
-  // to inflate one batch size's percentile and skew the ratio. Repeat the
-  // whole grid and keep each size's minimum p50 (the least-interfered
-  // observation); the SimStats identity check still covers every run.
-  const int reps = tiny ? 1 : 3;
-  for (int rep = 0; rep < reps; ++rep) {
-    for (const std::size_t batch : batches) {
-      metrics().reset();
-      auto sw = MultistageSwitch::nonblocking(
-          8, 16, 8, Construction::kMswDominant, MulticastModel::kMSW);
-      SimConfig config;
-      config.steps = tiny ? 500 : 30000;
-      config.self_check_every = tiny ? 256 : 16384;
-      config.fanout = {1, 8};
-      config.connect_batch = batch;
-      const SimStats stats = run_dynamic_sim(sw, config);
-      const std::size_t run_p50 =
-          metrics().timer("sim.connect").percentile_ns(0.5);
-      if (p50[batch] == 0 || run_p50 < p50[batch]) p50[batch] = run_p50;
-      never_blocked = never_blocked && stats.blocked == 0;
-      if (!have_reference) {
-        reference = stats;
-        have_reference = true;
-      } else {
-        stats_identical = stats_identical && stats == reference;
-      }
-    }
-  }
-  BenchResult result;
-  const std::size_t speedup_x100 =
-      p50[32] == 0 ? 0 : p50[1] * 100 / p50[32];
-  result.params_json = params_of({{"n", 8},
-                                  {"r", 16},
-                                  {"k", 8},
-                                  {"steps", tiny ? 500 : 30000},
-                                  {"p50_batch1_ns", p50[1]},
-                                  {"p50_batch8_ns", p50[8]},
-                                  {"p50_batch32_ns", p50[32]},
-                                  {"p50_batch128_ns", p50[128]},
-                                  {"speedup_x100", speedup_x100}},
-                                 {{"construction", "msw-dominant"}});
-  // Tiny runs have too few samples for a stable percentile ratio; the
-  // full-size run enforces the documented >= 2x amortization win.
-  result.ok = stats_identical && never_blocked &&
-              (tiny || speedup_x100 >= 200);
-  return result;
-}
-
 BenchResult bench_routing_repack(bool tiny) {
   // Rearrangeable mode below the bound (DESIGN.md §3.12): provision m at 75%
   // of the Theorem 1 requirement, then run the same churn twice -- classic
@@ -739,10 +676,6 @@ const std::vector<BenchCase>& bench_cases() {
       {"routing_hotpath",
        "scale-up churn (n=8, r=16, k=8) stressing the connect/disconnect path",
        bench_routing_hotpath},
-      {"routing_batched",
-       "batched pipeline on the hotpath geometry: bit-identical stats, >= 2x "
-       "amortized p50 at batch 32",
-       bench_routing_batched},
       {"routing_repack",
        "repack-on-block churn at half the Theorem 1 middle stage",
        bench_routing_repack},

@@ -59,10 +59,6 @@ void ChurnDriver::remember_stale(Lane& lane, ConnectionId id) {
 }
 
 void ChurnDriver::tick(Lane& lane) {
-  if (config_.connect_batch > 0) {
-    tick_batched(lane);
-    return;
-  }
   DriverMetrics& instruments = DriverMetrics::get();
   MultistageSwitch& sw = engine_->shard_switch(lane.shard);
   ThreeStageNetwork& network = sw.network();
@@ -126,96 +122,6 @@ void ChurnDriver::tick(Lane& lane) {
       sim.steps % config_.self_check_every == 0) {
     network.self_check();
   }
-}
-
-void ChurnDriver::tick_batched(Lane& lane) {
-  ShardChurnStats& stats = lane.stats;
-  SimStats& sim = stats.sim;
-  ++sim.steps;
-
-  const ThreeStageNetwork& network = engine_->shard_switch(lane.shard).network();
-  // Every decision below draws only on the shard rng -- never on live state
-  // -- so the tick stream (and with it every flush boundary) is a pure
-  // function of (seed, shard, tick index), independent of batch size.
-  if (lane.rng.next_bool(config_.arrival_fraction)) {
-    // State-free arrival: a uniform request remapped onto an owned source
-    // port (the remap keeps the shard-ownership invariant; the lane
-    // discipline is port-independent, so the remapped request stays legal).
-    // A shard can own no ports (rendezvous hashing makes no coverage
-    // promise); the classic path's generator returns nullopt there, and the
-    // batched path mirrors it by skipping the arrival. Ownership is a
-    // per-config constant, so the rng stream stays batch-size-independent.
-    const auto& owned = engine_->owned_ports(lane.shard);
-    if (owned.empty()) return;
-    MulticastRequest request =
-        random_request(lane.rng, network.port_count(), network.lane_count(),
-                       network.network_model(), config_.fanout);
-    request.input.port = owned[lane.rng.next_below(owned.size())];
-    ++sim.attempts;
-    DriverMetrics& instruments = DriverMetrics::get();
-    instruments.arrivals.add();
-    instruments.request_fanout.record(request.outputs.size());
-    lane.pending.push_back(std::move(request));
-    if (lane.pending.size() >= config_.connect_batch) flush_pending(lane);
-  } else {
-    // Flush-before-any-state-read: the victim draw and the emptiness test
-    // must see the canonical (all-prior-ops-applied) session set.
-    flush_pending(lane);
-    sim.active_connection_steps += lane.active.size();
-    if (!lane.active.empty()) {
-      const std::size_t victim =
-          static_cast<std::size_t>(lane.rng.next_below(lane.active.size()));
-      const ConnectionId id = lane.active[victim];
-      if (!engine_->disconnect_locked(lane.shard, id)) {
-        fail("ChurnDriver: live session rejected as stale");
-      }
-      lane.active[victim] = lane.active.back();
-      lane.active.pop_back();
-      ++sim.departures;
-    }
-  }
-
-  if (config_.self_check_every != 0 &&
-      sim.steps % config_.self_check_every == 0) {
-    flush_pending(lane);
-    network.self_check();
-  }
-}
-
-void ChurnDriver::flush_pending(Lane& lane) {
-  if (lane.pending.empty()) return;
-  const std::size_t n = lane.pending.size();
-  lane.outcomes.resize(n);
-  engine_->connect_batch_locked(lane.shard, lane.pending.data(), n,
-                                lane.outcomes.data());
-
-  const ThreeStageNetwork& network = engine_->shard_switch(lane.shard).network();
-  SimStats& sim = lane.stats.sim;
-  // Deferred account-before-op: when pending op i was generated, every
-  // earlier op had either flushed or sat ahead of it in this buffer, so its
-  // canonical "sessions live before me" is base + the admissions ahead.
-  const std::size_t base = lane.active.size();
-  std::size_t admitted_ahead = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sim.active_connection_steps += base + admitted_ahead;
-    const BatchOutcome& out = lane.outcomes[i];
-    if (out.ok) {
-      ++sim.admitted;
-      sim.conversions += conversions_in_route(
-          lane.pending[i], network.find_connection(out.id)->second);
-      lane.active.push_back(out.id);
-      ++admitted_ahead;
-    } else if (out.error == ConnectError::kBlocked) {
-      // Routing blocks count as blocked; busy-endpoint rejections (possible
-      // because generation is state-free) are neither admitted nor blocked.
-      ++sim.blocked;
-      DriverMetrics::get().blocked.add();
-    }
-  }
-  // Sessions only accumulate between departures, and departures flush first,
-  // so every concurrency peak is visible at the end of some flush.
-  sim.max_concurrent = std::max(sim.max_concurrent, lane.active.size());
-  lane.pending.clear();
 }
 
 void ChurnDriver::grow_tick(Lane& lane, std::size_t victim) {
@@ -398,15 +304,6 @@ ChurnStats ChurnDriver::run_queued() {
                            &contexts[shard], size, nullptr);
     }
     executor.quiesce();
-    if (config_.connect_batch > 0) {
-      // Tail flush as owned tasks, for the same reason run() flushes under
-      // the shard mutex: pending buffers are lane state.
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        Lane& lane = *lanes[s];
-        if (lane.task_error) continue;
-        executor.run_task(s, [this, &lane] { flush_pending(lane); });
-      }
-    }
     // Executor destructor: quiesce, detach from the engine, join workers.
   }
   for (const auto& lane : lanes) {
@@ -458,14 +355,6 @@ ChurnStats ChurnDriver::run(ThreadPool& pool) {
       throw std::logic_error("ChurnDriver: undrained batch queue after join");
     }
   }
-  if (config_.connect_batch > 0) {
-    // Arrivals still buffered when the tick streams ran out flush here, so
-    // every generated op lands in the stats regardless of batch alignment.
-    for (const auto& lane : lanes) {
-      std::lock_guard shard_lock(engine_->shard_mutex(lane->shard));
-      flush_pending(*lane);
-    }
-  }
   return merge(lanes);
 }
 
@@ -480,7 +369,6 @@ ChurnStats ChurnDriver::run_serial() {
     Lane& lane = *lanes.back();
     std::lock_guard shard_lock(engine_->shard_mutex(s));
     for (std::size_t op = 0; op < config_.ops_per_shard; ++op) tick(lane);
-    if (config_.connect_batch > 0) flush_pending(lane);
   }
   return merge(lanes);
 }

@@ -61,17 +61,6 @@ struct ChurnConfig {
   std::uint64_t seed = 0xC0FFEE;
   /// Deep-check a shard every this many of its ticks (0 = never).
   std::size_t self_check_every = 0;
-  /// 0 = classic interactive mode (one routed op per tick, with grows and
-  /// stale probes). > 0 = batched-arrival mode: ticks reduce to arrivals and
-  /// departures; arrival requests are generated state-free (random_request
-  /// remapped onto the shard's owned ports) and accumulate into a pending
-  /// buffer that flushes through Router::connect_batch when this many are
-  /// pending -- and always before any state read (departure victim choice,
-  /// self-check, end of run). Because every tick decision draws only on the
-  /// shard rng and every state read happens post-flush, ChurnStats is
-  /// bit-identical across worker counts AND across connect_batch values
-  /// (see DESIGN.md §3.10). Grow/stale fields stay zero in this mode.
-  std::size_t connect_batch = 0;
   /// Queued submission mode (DESIGN.md §3.13): run() creates a ShardExecutor
   /// (`workers` draining workers, per-shard queues of `queue_depth`) and
   /// ships each batch as a count-carrying task into the owning shard's
@@ -144,10 +133,6 @@ class ChurnDriver {
     std::vector<ConnectionId> stale;
     std::size_t stale_cursor = 0;
     ShardChurnStats stats;
-    /// Batched-arrival mode: requests awaiting the next connect_batch flush,
-    /// plus the reusable outcome buffer (both empty in classic mode).
-    std::vector<MulticastRequest> pending;
-    std::vector<BatchOutcome> outcomes;
 
     std::mutex queue_mutex;
     std::vector<std::size_t> queue;  // pending batch sizes (FIFO)
@@ -162,13 +147,6 @@ class ChurnDriver {
   static constexpr std::size_t kStaleRing = 32;
 
   void tick(Lane& lane);
-  /// Batched-arrival tick (config_.connect_batch > 0); see ChurnConfig.
-  void tick_batched(Lane& lane);
-  /// Push the lane's pending arrivals through connect_batch_locked and fold
-  /// the outcomes into its stats. Requires the shard mutex. Deferred
-  /// active_connection_steps accounting reproduces the classic
-  /// account-before-op values at any flush boundary.
-  void flush_pending(Lane& lane);
   void grow_tick(Lane& lane, std::size_t victim);
   void remember_stale(Lane& lane, ConnectionId id);
   /// Invariant-violation exit: dump every shard's flight recorder to stderr

@@ -169,12 +169,6 @@ void ShardExecutor::execute(std::size_t shard, Op& op) {
       }
       return;
     }
-    case Op::Kind::kBatch: {
-      const std::size_t admitted = engine_.connect_batch_locked(
-          shard, op.request, op.count, op.outcomes);
-      if (op.ticket) op.ticket->complete(admitted, 0);
-      return;
-    }
     case Op::Kind::kTask: {
       op.fn(op.ctx, op.arg);
       if (op.ticket) op.ticket->complete(0, 0);
@@ -209,19 +203,6 @@ void ShardExecutor::submit_grow(std::size_t shard, ConnectionId id,
   op.kind = Op::Kind::kGrow;
   op.id = id;
   op.destination = destination;
-  op.ticket = ticket;
-  push(shard, op);
-}
-
-void ShardExecutor::submit_batch(std::size_t shard,
-                                 const MulticastRequest* requests,
-                                 std::size_t count, BatchOutcome* outcomes,
-                                 OpTicket* ticket) {
-  Op op;
-  op.kind = Op::Kind::kBatch;
-  op.request = requests;
-  op.count = count;
-  op.outcomes = outcomes;
   op.ticket = ticket;
   push(shard, op);
 }

@@ -129,11 +129,6 @@ class ShardExecutor {
   void submit_disconnect(std::size_t shard, ConnectionId id, OpTicket* ticket);
   void submit_grow(std::size_t shard, ConnectionId id,
                    const WavelengthEndpoint& destination, OpTicket* ticket);
-  /// Batched connect (engine::connect_batch_locked); `requests` and
-  /// `outcomes` must outlive the ticket. Ticket value() = admitted count.
-  void submit_batch(std::size_t shard, const MulticastRequest* requests,
-                    std::size_t count, BatchOutcome* outcomes,
-                    OpTicket* ticket);
   /// Arbitrary closure executed with exclusive access to `shard`.
   /// `fn(ctx, arg)` runs on the draining worker; keep `ctx` alive until the
   /// ticket completes.
@@ -165,15 +160,12 @@ class ShardExecutor {
       kConnect,
       kDisconnect,
       kGrow,
-      kBatch,
       kTask,
     };
     Kind kind = Kind::kTask;
-    const MulticastRequest* request = nullptr;  // connect / batch (array)
+    const MulticastRequest* request = nullptr;  // connect
     ConnectionId id = 0;                        // disconnect / grow
     WavelengthEndpoint destination{};           // grow
-    std::size_t count = 0;                      // batch
-    BatchOutcome* outcomes = nullptr;           // batch
     void (*fn)(void*, std::uint64_t) = nullptr; // task
     void* ctx = nullptr;                        // task
     std::uint64_t arg = 0;                      // task

@@ -345,28 +345,6 @@ std::optional<ConnectionId> ShardedEngine::connect_locked(
   return id;
 }
 
-std::size_t ShardedEngine::connect_batch_locked(std::size_t shard,
-                                                const MulticastRequest* requests,
-                                                std::size_t count,
-                                                BatchOutcome* outcomes) {
-  Shard& owner = *shards_[shard];
-  const std::size_t admitted =
-      owner.sw.connect_batch(requests, count, outcomes);
-  if (admitted != 0) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (outcomes[i].ok) note_session_active(owner, outcomes[i].id);
-    }
-    EngineMetrics::get().connects.add(admitted);
-    owner.connects += admitted;
-  }
-  owner.flight.record(obs::EngineOp::kBatchConnect,
-                      admitted == count ? obs::EngineOpOutcome::kAdmitted
-                                        : obs::EngineOpOutcome::kBlocked,
-                      0, static_cast<std::uint32_t>(admitted));
-  publish_health(owner);
-  return admitted;
-}
-
 bool ShardedEngine::disconnect_locked(std::size_t shard, ConnectionId id) {
   EngineMetrics& counters = EngineMetrics::get();
   Shard& owner = *shards_[shard];

@@ -22,7 +22,7 @@
 //   * mutex mode (the default): the public session API (connect /
 //     disconnect / grow) locks exactly the owning shard, so sessions on
 //     distinct shards never contend. The *_locked variants are for drivers
-//     that batch many operations under one shard_mutex() hold (see
+//     that run many operations under one shard_mutex() hold (see
 //     churn_driver.h); they must be called with that mutex held.
 //
 //   * executor mode (DESIGN.md §3.13): while a ShardExecutor is attached
@@ -216,7 +216,7 @@ class ShardedEngine {
   /// acquisition (seqlock retry loop; see obs/health_snapshot.h). Safe from
   /// any thread at any time -- including while every shard mutex is held by
   /// someone else. Shards publish at every commit point (connect /
-  /// disconnect / grow / batch), plus once at construction, so the result is
+  /// disconnect / grow), plus once at construction, so the result is
   /// always a complete, internally consistent snapshot.
   [[nodiscard]] obs::EngineHealthSnapshot health_snapshot(std::size_t shard) const;
   /// All shards' snapshots, ascending shard order. Lock-free like
@@ -230,7 +230,7 @@ class ShardedEngine {
   /// written to WDM_FLIGHT_DUMP by run_benches for CI artifacts).
   void dump_flight_recorders(std::ostream& os) const;
 
-  // -- shard plumbing for batching drivers ----------------------------------
+  // -- shard plumbing for drivers -------------------------------------------
   /// The mutex guarding shard `shard`'s switch. Hold it across any use of
   /// shard_switch() or the *_locked calls.
   [[nodiscard]] std::mutex& shard_mutex(std::size_t shard) const;
@@ -243,12 +243,6 @@ class ShardedEngine {
   /// owned_ports() satisfy it by construction.
   [[nodiscard]] std::optional<ConnectionId> connect_locked(
       std::size_t shard, const MulticastRequest& request);
-  /// Batched connect_locked: one Router::connect_batch call on the shard's
-  /// replica (submission order, bit-identical outcomes to serial replay;
-  /// see routing.h). Returns the number admitted.
-  std::size_t connect_batch_locked(std::size_t shard,
-                                   const MulticastRequest* requests,
-                                   std::size_t count, BatchOutcome* outcomes);
   bool disconnect_locked(std::size_t shard, ConnectionId id);
   GrowResult grow_locked(std::size_t shard, ConnectionId id,
                          const WavelengthEndpoint& destination);

@@ -70,18 +70,6 @@ class MultistageSwitch {
   /// ThreeStageNetwork::try_release).
   bool try_disconnect(ConnectionId id) { return router_.try_disconnect(id); }
 
-  /// Mixed connect/disconnect batch; see Router::run_batch for the ordering
-  /// and bit-identity guarantees. Returns the number of successful ops.
-  std::size_t run_batch(const BatchOp* ops, std::size_t count, BatchOutcome* outcomes) {
-    return router_.run_batch(ops, count, outcomes);
-  }
-
-  /// Connect-only batch; see Router::connect_batch.
-  std::size_t connect_batch(const MulticastRequest* requests, std::size_t count,
-                            BatchOutcome* outcomes) {
-    return router_.connect_batch(requests, count, outcomes);
-  }
-
   [[nodiscard]] ConnectError last_error() const { return router_.last_error(); }
   [[nodiscard]] std::size_t active_connections() const {
     return network_.active_connections();
@@ -92,7 +80,7 @@ class MultistageSwitch {
   /// Attach a repack engine: connect_with_repack may then migrate existing
   /// sessions to admit a request that blocks below the Theorem 1/2 bound.
   /// Replaces any previous engine (stats reset). The classic
-  /// try_connect/connect/batch paths are untouched either way.
+  /// try_connect/connect paths are untouched either way.
   void enable_repack(const repack::RepackPolicy& policy);
 
   /// try_connect, falling back to repack-on-block when a repack engine is

@@ -78,15 +78,16 @@ class SwitchModule {
     return (out_used_[port] >> lane & 1u) == 0;
   }
 
-  /// Raw occupancy word of an output port (bit = lane, 1 = busy). The word
-  /// view behind the batch router's mask priming: one load yields all k
-  /// lanes. No range check -- callers index from the network geometry.
+  /// Raw occupancy word of an output port (bit = lane, 1 = busy): one load
+  /// yields all k lanes (the network's any-lane rows test it against
+  /// out_lane_mask()). No range check -- callers index from the network
+  /// geometry.
   [[nodiscard]] std::uint64_t out_word(std::size_t port) const {
     return out_used_[port];
   }
   /// Low `lanes()` bits set; out_word(p) == out_lane_mask() means port full.
   [[nodiscard]] std::uint64_t out_lane_mask() const { return lane_mask_; }
-  /// Contiguous out_word(0 .. out_ports()-1), for vectorized mask priming.
+  /// Contiguous out_word(0 .. out_ports()-1).
   [[nodiscard]] const std::uint64_t* out_words() const { return out_used_.data(); }
 
   /// Number of free lanes on an output port (link capacity remaining).

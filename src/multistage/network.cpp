@@ -101,6 +101,21 @@ ThreeStageNetwork::ThreeStageNetwork(ClosParams params, Construction constructio
   endpoint_stamp_.assign(port_count() * params_.k, 0);
   middle_stamp_.assign(params_.m, 0);
   module_stamp_.assign(params_.r, 0);
+
+  // Every row starts all-free: bits 0..m-1 set, padding bits clear.
+  row_words_ = (params_.m + 63) / 64;
+  std::vector<std::uint64_t> all_free(row_words_, ~0ull);
+  if (params_.m % 64 != 0) all_free.back() = (1ull << (params_.m % 64)) - 1;
+  const auto fill_rows = [&](std::vector<std::uint64_t>& rows, std::size_t count) {
+    rows.resize(count * row_words_);
+    for (std::size_t row = 0; row < count; ++row) {
+      std::copy(all_free.begin(), all_free.end(), rows.begin() + row * row_words_);
+    }
+  };
+  fill_rows(cand_lane_, params_.r * params_.k);
+  fill_rows(cand_any_, params_.r);
+  fill_rows(serve_lane_, params_.r * params_.k);
+  fill_rows(serve_any_, params_.r);
 }
 
 MulticastModel ThreeStageNetwork::inner_model() const {
@@ -334,7 +349,11 @@ ConnectionId ThreeStageNetwork::install(const MulticastRequest& request,
   if (const auto reason = check_route(request, route)) {
     throw std::logic_error("ThreeStageNetwork::install: " + *reason);
   }
-  return commit_route(request, route);
+  const std::uint32_t slot = acquire_slot();
+  ConnectionSlot& entry = connection_slots_[slot];
+  entry.entry.first = request;  // copy-assign: keeps vector capacity
+  copy_route_into(entry.entry.second, route);
+  return commit_slot(slot);
 }
 
 ConnectionId ThreeStageNetwork::reinstall(ConnectionId id,
@@ -385,7 +404,6 @@ ConnectionId ThreeStageNetwork::reinstall(ConnectionId id,
     throw std::logic_error(
         "ThreeStageNetwork::reinstall: slot missing from the free list");
   }
-  ++mutation_epoch_;
   ConnectionSlot& entry = connection_slots_[slot];
   entry.entry.first = request;  // copy-assign: keeps vector capacity
   copy_route_into(entry.entry.second, route);
@@ -461,27 +479,31 @@ std::uint32_t ThreeStageNetwork::acquire_slot() {
   return slot;
 }
 
-ConnectionId ThreeStageNetwork::commit_route(const MulticastRequest& request,
-                                             const Route& route) {
-  ++mutation_epoch_;
-  const std::uint32_t slot = acquire_slot();
-  ConnectionSlot& entry = connection_slots_[slot];
-  entry.entry.first = request;  // copy-assign: keeps vector capacity
-  copy_route_into(entry.entry.second, route);
-  return commit_slot(slot);
-}
-
-ConnectionId ThreeStageNetwork::commit_route_swapping(const MulticastRequest& request,
-                                                      Route& route) {
-  ++mutation_epoch_;
-  const std::uint32_t slot = acquire_slot();
-  ConnectionSlot& entry = connection_slots_[slot];
-  entry.entry.first = request;  // copy-assign: keeps vector capacity
-  // O(1) ownership transfer: the slot takes the caller's branches and the
-  // caller is left holding the slot's previous storage (nested capacity the
-  // caller recycles into its own pools).
-  entry.entry.second.branches.swap(route.branches);
-  return commit_slot(slot);
+void ThreeStageNetwork::update_rows(std::size_t in_module, const Route& route,
+                                    bool installed) {
+  // A lane that was just taken clears its per-lane bit and leaves the
+  // any-lane bit set only while the link still has some other free lane; a
+  // lane that was just freed sets both.
+  const auto assign_bit = [](std::uint64_t* row, std::size_t j, bool value) {
+    const std::uint64_t bit = 1ull << (j & 63);
+    row[j >> 6] = value ? row[j >> 6] | bit : row[j >> 6] & ~bit;
+  };
+  const SwitchModule& input = inputs_[in_module];
+  for (const RouteBranch& branch : route.branches) {
+    const std::size_t j = branch.middle;
+    assign_bit(cand_lane_.data() + (in_module * params_.k + branch.link_lane) * row_words_,
+               j, !installed);
+    assign_bit(cand_any_.data() + in_module * row_words_, j,
+               !installed || input.out_word(j) != input.out_lane_mask());
+    const SwitchModule& middle = middles_[j];
+    for (const DeliveryLeg& leg : branch.legs) {
+      const std::size_t p = leg.out_module;
+      assign_bit(serve_lane_.data() + (p * params_.k + leg.link_lane) * row_words_, j,
+                 !installed);
+      assign_bit(serve_any_.data() + p * row_words_, j,
+                 !installed || middle.out_word(p) != middle.out_lane_mask());
+    }
+  }
 }
 
 ConnectionId ThreeStageNetwork::commit_slot(std::uint32_t slot) {
@@ -517,6 +539,7 @@ ConnectionId ThreeStageNetwork::commit_slot(std::uint32_t slot) {
           outputs_[leg.out_module].add_transit({branch.middle, leg.link_lane}, outs));
     }
   }
+  update_rows(in_module, route, /*installed=*/true);
 
   // Commit: bump the generation (ids are nonzero because generation >= 1),
   // link at the tail of the insertion-order list, mark the endpoints.
@@ -543,18 +566,19 @@ void ThreeStageNetwork::release(ConnectionId id) {
   if (slot == kNoSlot) {
     throw std::out_of_range("ThreeStageNetwork::release: unknown connection id");
   }
-  ++mutation_epoch_;
   ConnectionSlot& entry = connection_slots_[slot];
   const auto& [request, route] = entry.entry;
   const InstalledTransits& installed = entry.transits;
 
-  inputs_[input_module_of(request.input.port)].remove_transit(installed.input_transit);
+  const std::size_t in_module = input_module_of(request.input.port);
+  inputs_[in_module].remove_transit(installed.input_transit);
   for (const auto& [module, transit] : installed.middle_transits) {
     middles_[module].remove_transit(transit);
   }
   for (const auto& [module, transit] : installed.output_transits) {
     outputs_[module].remove_transit(transit);
   }
+  update_rows(in_module, route, /*installed=*/false);
 
   busy_inputs_[endpoint_index(request.input)] = 0;
   for (const auto& out : request.outputs) busy_outputs_[endpoint_index(out)] = 0;
@@ -645,6 +669,44 @@ void ThreeStageNetwork::self_check() const {
               "endpoint modules");
         }
       }
+    }
+  }
+
+  // Re-derive all four row families from the module occupancy words.
+  const auto check_row = [&](const std::uint64_t* row, const auto& free_bit,
+                             const char* family) {
+    for (std::size_t w = 0; w < row_words_; ++w) {
+      std::uint64_t expected = 0;
+      for (std::size_t j = w * 64; j < std::min(params_.m, w * 64 + 64); ++j) {
+        expected |= static_cast<std::uint64_t>(free_bit(j)) << (j & 63);
+      }
+      if (row[w] != expected) {
+        throw std::logic_error(std::string("ThreeStageNetwork: ") + family +
+                               " row diverged from module occupancy");
+      }
+    }
+  };
+  for (std::size_t i = 0; i < params_.r; ++i) {
+    const SwitchModule& input = inputs_[i];
+    check_row(candidate_row(i, kNoWavelength),
+              [&](std::size_t j) { return input.out_word(j) != input.out_lane_mask(); },
+              "cand_any");
+    for (Wavelength lane = 0; lane < params_.k; ++lane) {
+      check_row(candidate_row(i, lane),
+                [&](std::size_t j) { return input.out_lane_free(j, lane); },
+                "cand_lane");
+    }
+  }
+  for (std::size_t p = 0; p < params_.r; ++p) {
+    check_row(serve_row(p, kNoWavelength),
+              [&](std::size_t j) {
+                return middles_[j].out_word(p) != middles_[j].out_lane_mask();
+              },
+              "serve_any");
+    for (Wavelength lane = 0; lane < params_.k; ++lane) {
+      check_row(serve_row(p, lane),
+                [&](std::size_t j) { return middles_[j].out_lane_free(p, lane); },
+                "serve_lane");
     }
   }
 

@@ -169,6 +169,28 @@ class ThreeStageNetwork {
   [[nodiscard]] bool link23_lane_usable(std::size_t j, std::size_t p,
                                         Wavelength lane) const;
 
+  // -- middle-stage occupancy rows (DESIGN.md §3.10) ------------------------
+  /// Words per row: ceil(m / 64). Bit j of a row stands for middle module j.
+  [[nodiscard]] std::size_t row_words() const { return row_words_; }
+  /// Candidate row of input module `in_module`: bit j set iff lane `lane` is
+  /// free on the link in_module -> j, or, with lane == kNoWavelength, iff
+  /// some lane of that link is free.
+  [[nodiscard]] const std::uint64_t* candidate_row(std::size_t in_module,
+                                                   Wavelength lane) const {
+    return lane == kNoWavelength
+               ? cand_any_.data() + in_module * row_words_
+               : cand_lane_.data() + (in_module * params_.k + lane) * row_words_;
+  }
+  /// Serve row of output module `out_module`: bit j set iff lane `lane` is
+  /// free on the link j -> out_module, or, with lane == kNoWavelength, iff
+  /// some lane of that link is free.
+  [[nodiscard]] const std::uint64_t* serve_row(std::size_t out_module,
+                                               Wavelength lane) const {
+    return lane == kNoWavelength
+               ? serve_any_.data() + out_module * row_words_
+               : serve_lane_.data() + (out_module * params_.k + lane) * row_words_;
+  }
+
   // -- admission ------------------------------------------------------------
   /// Shape legality under the network model plus endpoint availability.
   [[nodiscard]] std::optional<ConnectError> check_admissible(
@@ -181,26 +203,6 @@ class ThreeStageNetwork {
   /// Commit a route. Throws std::logic_error with the check_route reason on
   /// any inconsistency.
   ConnectionId install(const MulticastRequest& request, const Route& route);
-
-  /// Commit a route WITHOUT the check_admissible/check_route re-validation.
-  /// Contract: `route` was produced by a Router against the network's
-  /// current state with no intervening mutation (the batch pipeline's
-  /// one-validation amortization; see DESIGN.md §3.10). A route violating
-  /// the contract still trips the modules' own transit checks (which throw),
-  /// but the caller owns the invariant -- misuse can leave a partial
-  /// install. Behavior on valid routes is bit-identical to install().
-  ConnectionId install_trusted(const MulticastRequest& request, const Route& route) {
-    return commit_route(request, route);
-  }
-
-  /// install_trusted variant that takes ownership of `route` by swapping its
-  /// branch vector into the connection slot (O(1) instead of a deep copy);
-  /// `route` is left holding the slot's previous storage, whose nested
-  /// capacity the caller can recycle. Same contract and committed state as
-  /// install_trusted above.
-  ConnectionId install_trusted(const MulticastRequest& request, Route&& route) {
-    return commit_route_swapping(request, route);
-  }
 
   /// Commit a route into the slot a released id names, reviving that EXACT
   /// id: after reinstall(id, ...), find_connection(id) is live again with
@@ -260,22 +262,11 @@ class ThreeStageNetwork {
     return static_cast<std::uint32_t>(id >> 32);
   }
 
-  /// Monotone counter bumped by every occupancy mutation (commit_route and
-  /// release). Cache layers above the network -- the Router's batch mask
-  /// rows -- compare it against the epoch they last synced at to detect
-  /// mutations that bypassed their repair hooks (e.g. a test or tool
-  /// installing through the network directly) and invalidate wholesale
-  /// instead of serving stale occupancy bits.
-  [[nodiscard]] std::uint64_t mutation_epoch() const { return mutation_epoch_; }
-
   /// Shared route-storage pools (emptied branches/legs whose nested vectors
   /// keep their capacity). The slot copy machinery (copy_route_into) and the
-  /// Router's scratch recycling draw from the SAME pools: the swapping
-  /// install migrates storage between router scratch and connection slots,
-  /// so with separate pools objects would drift one way (scratch -> slot ->
-  /// network pool) and strand capacity, forcing the router to allocate fresh
-  /// objects in steady state. One economy keeps the total object population
-  /// monotone and the churn loop allocation-free once warm.
+  /// Router's scratch recycling draw from the SAME pools, so one economy
+  /// keeps the total object population monotone and the churn loop
+  /// allocation-free once warm.
   [[nodiscard]] std::vector<RouteBranch>& branch_pool() {
     return spare_route_branches_;
   }
@@ -298,8 +289,10 @@ class ThreeStageNetwork {
   [[nodiscard]] std::vector<bool> middle_plane_destinations(std::size_t j,
                                                             Wavelength lane) const;
 
-  /// Deep consistency check: every module self-checks, and busy-endpoint
-  /// maps match the connection table. Throws std::logic_error on failure.
+  /// Deep consistency check: every module self-checks, busy-endpoint maps
+  /// match the connection table, and all four middle-stage row families
+  /// match a re-derivation from the module occupancy words. Throws
+  /// std::logic_error on failure.
   void self_check() const;
 
  private:
@@ -333,18 +326,16 @@ class ThreeStageNetwork {
   /// Slot index of an id if it names an active connection, else kNoSlot.
   [[nodiscard]] std::uint32_t slot_of(ConnectionId id) const;
 
-  /// The committing body of install(): slot acquisition, transit
-  /// installation, endpoint marking. Both install() (after validating) and
-  /// install_trusted() (router-validated routes) land here.
-  ConnectionId commit_route(const MulticastRequest& request, const Route& route);
-  /// commit_route with O(1) route ownership transfer instead of the deep
-  /// copy; `route` is left holding the slot's previous storage.
-  ConnectionId commit_route_swapping(const MulticastRequest& request, Route& route);
   /// Pop a free connection slot (or grow the table by one).
   [[nodiscard]] std::uint32_t acquire_slot();
-  /// Shared tail of the commit_route variants: install the transits of the
-  /// route already stored in `slot` and mark the endpoints busy.
+  /// Shared tail of install() and reinstall(): install the transits of the
+  /// (validated) route already stored in `slot`, update the middle-stage
+  /// rows, and mark the endpoints busy.
   ConnectionId commit_slot(std::uint32_t slot);
+  /// Bring the row bits a route touches up to date after its lanes were
+  /// taken (`installed`) or freed: each branch's candidate bits and each
+  /// leg's serve bits. O(route size).
+  void update_rows(std::size_t in_module, const Route& route, bool installed);
   /// Unlink `slot` from the insertion-order list and re-link it directly
   /// after `prev_slot` (kNoSlot = new head). Occupancy is untouched; this
   /// is the reinstall(..., after) splice.
@@ -389,7 +380,15 @@ class ThreeStageNetwork {
   std::uint32_t head_ = kNoSlot;  // oldest active connection
   std::uint32_t tail_ = kNoSlot;  // newest active connection
   std::size_t active_count_ = 0;
-  std::uint64_t mutation_epoch_ = 0;  // see mutation_epoch()
+
+  // Middle-stage occupancy rows, row_words_ words each (see candidate_row /
+  // serve_row). Exact after every install/reinstall/release; they hold
+  // occupancy only -- the Router filters faults on top.
+  std::size_t row_words_ = 0;
+  std::vector<std::uint64_t> cand_lane_;   // (i * k + lane) * row_words_
+  std::vector<std::uint64_t> cand_any_;    // i * row_words_
+  std::vector<std::uint64_t> serve_lane_;  // (p * k + lane) * row_words_
+  std::vector<std::uint64_t> serve_any_;   // p * row_words_
 
   // Reusable scratch for check_route/install (capacity survives calls, so
   // steady-state validation is allocation-free). The stamp arrays implement

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <stdexcept>
 
 #include "faults/fault_model.h"
 #include "util/metrics.h"
 #include "util/trace_span.h"
-
-#ifdef WDM_HAVE_AVX2
-#include <immintrin.h>
-#endif
 
 namespace wdm {
 
@@ -36,64 +31,6 @@ struct RouterMetrics {
   }
 };
 
-/// Batched-pipeline instruments (see docs/BENCHMARKS.md "routing.batch_*").
-struct BatchMetrics {
-  Histogram& batch_size = metrics().histogram("routing.batch_size");
-  TimerStat& batch_amortized = metrics().timer("routing.batch_amortized_ns");
-
-  static BatchMetrics& get() {
-    static BatchMetrics instance;
-    return instance;
-  }
-};
-
-// -- mask-priming kernels ----------------------------------------------------
-// Transpose a module's per-port occupancy words into one per-lane bitmask:
-// out bit p = "port p can take one more connection" under the given lane
-// condition. The scalar loops vectorize acceptably, but with WDM_AVX2 the
-// cmake flag enables 4-ports-per-iteration kernels: shift the lane bit of
-// four ports into bit 63 and harvest the sign bits with movemask.
-
-/// out bit p (p < ports) = lane `lane` free on output port p.
-inline void pack_free_lane_bits(const std::uint64_t* port_words, std::size_t ports,
-                                Wavelength lane, std::uint64_t* out,
-                                std::size_t out_words) {
-  for (std::size_t w = 0; w < out_words; ++w) out[w] = 0;
-  std::size_t p = 0;
-#ifdef WDM_HAVE_AVX2
-  const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(63 - lane));
-  for (; p + 4 <= ports; p += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(port_words + p));
-    const int busy4 = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_sll_epi64(v, shift)));
-    out[p >> 6] |= static_cast<std::uint64_t>(~busy4 & 0xF) << (p & 63);
-  }
-#endif
-  for (; p < ports; ++p) {
-    out[p >> 6] |= (~(port_words[p] >> lane) & 1u) << (p & 63);
-  }
-}
-
-/// out bit p (p < ports) = any lane free on output port p (word != full mask).
-inline void pack_any_free_bits(const std::uint64_t* port_words, std::size_t ports,
-                               std::uint64_t full_mask, std::uint64_t* out,
-                               std::size_t out_words) {
-  for (std::size_t w = 0; w < out_words; ++w) out[w] = 0;
-  std::size_t p = 0;
-#ifdef WDM_HAVE_AVX2
-  const __m256i full = _mm256_set1_epi64x(static_cast<long long>(full_mask));
-  for (; p + 4 <= ports; p += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(port_words + p));
-    const int full4 = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(v, full)));
-    out[p >> 6] |= static_cast<std::uint64_t>(~full4 & 0xF) << (p & 63);
-  }
-#endif
-  for (; p < ports; ++p) {
-    out[p >> 6] |= static_cast<std::uint64_t>(port_words[p] != full_mask) << (p & 63);
-  }
-}
-
 inline bool test_bit(const std::vector<std::uint64_t>& words, std::size_t i) {
   return (words[i >> 6] >> (i & 63)) & 1u;
 }
@@ -102,6 +39,17 @@ inline void set_bit(std::vector<std::uint64_t>& words, std::size_t i) {
 }
 inline void clear_bit(std::vector<std::uint64_t>& words, std::size_t i) {
   words[i >> 6] &= ~(1ull << (i & 63));
+}
+
+/// `word` (word w of a middle-module row) with every set bit j for which
+/// usable(j) is false cleared.
+template <typename Usable>
+std::uint64_t keep_usable(std::uint64_t word, std::size_t w, Usable&& usable) {
+  for (std::uint64_t bits = word; bits != 0; bits &= bits - 1) {
+    const std::size_t j = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+    if (!usable(j)) word &= ~(1ull << (j & 63));
+  }
+  return word;
 }
 
 }  // namespace
@@ -115,25 +63,11 @@ Router::Router(ThreeStageNetwork& network, RoutingPolicy policy)
   demands_.resize(params.r);
   demand_stamp_.assign(params.r, 0);
   targets_.reserve(params.r);
-  candidates_.reserve(params.m);
   chosen_.reserve(policy_.max_spread);
 
-  // Batch mask caches (DESIGN.md §3.10): all storage sized here, so the
-  // batched path allocates nothing in steady state. Stamps start at 0 and
-  // batch_gen_ at 1, so every row begins stale. Every row is a word mask
-  // over middle modules.
-  cand_words_ = (params.m + 63) / 64;
-  cand_msw_.assign(params.r * params.k * cand_words_, 0);
-  cand_any_.assign(params.r * cand_words_, 0);
-  cand_msw_stamp_.assign(params.r * params.k, 0);
-  cand_any_stamp_.assign(params.r, 0);
-  serve_specific_.assign(params.r * params.k * cand_words_, 0);
-  serve_any_.assign(params.r * cand_words_, 0);
-  serve_specific_stamp_.assign(params.r * params.k, 0);
-  serve_any_stamp_.assign(params.r, 0);
+  cand_words_ = network_->row_words();
   cand_mask_.assign(cand_words_, 0);
   gain_by_mid_.assign(params.m, 0);
-  batch_gen_ = 1;
 }
 
 RoutingPolicy Router::recommended_policy(const ClosParams& params,
@@ -143,36 +77,6 @@ RoutingPolicy Router::recommended_policy(const ClosParams& params,
           ? theorem1_min_m(params.n, params.r)
           : theorem2_min_m(params.n, params.r, params.k);
   return {bound.x, RouteSearch::kExhaustive};
-}
-
-void Router::candidate_middles(std::size_t in_module, Wavelength lane) const {
-  const ClosParams& params = network_->params();
-  const SwitchModule& input = network_->input_module(in_module);
-  candidates_.clear();
-  RouterMetrics& counters = RouterMetrics::get();
-  counters.middle_probes.add(params.m);
-  TraceSpan span("routing.middle_probe_loop");
-  // Fault fast path: `faults` stays null unless a model is attached AND
-  // carries an active fault, so a healthy network takes the original
-  // branch-free checks.
-  const FaultModel* faults = network_->active_fault_model();
-  const bool msw = network_->construction() == Construction::kMswDominant;
-  for (std::size_t j = 0; j < params.m; ++j) {
-    if (faults != nullptr && faults->middle_failed(j)) continue;
-    bool usable;
-    if (msw) {
-      usable = input.out_lane_free(j, lane) &&
-               (faults == nullptr || faults->link12_usable(in_module, j, lane));
-    } else if (faults == nullptr) {
-      usable = input.free_out_lanes(j) > 0;
-    } else {
-      usable = usable_free_lane(input, j, LinkStage::kInputToMiddle, in_module);
-    }
-    if (usable) candidates_.push_back(j);
-  }
-  counters.candidates_per_attempt.record(candidates_.size());
-  span.arg("probed", static_cast<std::int64_t>(params.m));
-  span.arg("candidates", static_cast<std::int64_t>(candidates_.size()));
 }
 
 const Route* Router::find_route_instrumented(const MulticastRequest& request) const {
@@ -199,8 +103,7 @@ std::optional<Route> Router::find_route(const MulticastRequest& request) const {
 
 void Router::recycle_route() const {
   // Recycle into the network's shared pools -- the same economy the slot
-  // copy machinery uses -- so storage swapped into connection slots by
-  // install_trusted(Route&&) circulates back instead of stranding.
+  // copy machinery uses.
   std::vector<RouteBranch>& branch_pool = network_->branch_pool();
   std::vector<DeliveryLeg>& leg_pool = network_->leg_pool();
   for (RouteBranch& branch : route_.branches) {
@@ -217,10 +120,10 @@ void Router::recycle_route() const {
 const Route* Router::find_route_impl(const MulticastRequest& request) const {
   recycle_route();
   if (!build_demands(request)) return nullptr;  // unsatisfiable demand
-  candidate_middles(network_->input_module_of(request.input.port),
-                    request.input.lane);
-  if (candidates_.empty()) return nullptr;
-  build_serves_probing();
+  if (!gather_rows(network_->input_module_of(request.input.port),
+                   request.input.lane)) {
+    return nullptr;
+  }
   return cover_and_materialize(request);
 }
 
@@ -274,36 +177,56 @@ bool Router::build_demands(const MulticastRequest& request) const {
   return true;
 }
 
-void Router::build_serves_probing() const {
-  // serves_ row t, bit j: can candidate middle j feed target t? Target-major
-  // over middle-module indices -- the same layout the batch mask caches
-  // assemble -- so cover_and_materialize downstream is one shared code path.
-  // cand_mask_ gets the candidate set as a word mask (the greedy variant
-  // scans it).
-  const std::size_t n_targets = targets_.size();
+bool Router::gather_rows(std::size_t in_module, Wavelength source_lane) const {
+  RouterMetrics& counters = RouterMetrics::get();
+  counters.middle_probes.add(network_->params().m);
+  // The rows hold occupancy only. `faults` stays null unless a model is
+  // attached AND carries an active fault; then each set bit is re-checked
+  // against the fault model, which the network is never notified about.
   const FaultModel* faults = network_->active_fault_model();
-  serves_.assign(n_targets * cand_words_, 0);
-  cand_mask_.assign(cand_words_, 0);
-  for (const std::size_t j : candidates_) set_bit(cand_mask_, j);
-  for (const std::size_t j : candidates_) {
-    const SwitchModule& middle = network_->middle_module(j);
-    for (std::size_t t = 0; t < n_targets; ++t) {
-      const ModuleDemand& demand = demands_[targets_[t]];
-      bool serves;
-      if (demand.required_link_lane == kNoWavelength) {
-        serves = faults == nullptr
-                     ? middle.free_out_lanes(targets_[t]) > 0
-                     : usable_free_lane(middle, targets_[t],
-                                        LinkStage::kMiddleToOutput, j);
-      } else {
-        serves =
-            middle.out_lane_free(targets_[t], demand.required_link_lane) &&
-            (faults == nullptr ||
-             faults->link23_usable(j, targets_[t], demand.required_link_lane));
+  const bool msw = network_->construction() == Construction::kMswDominant;
+  const Wavelength cand_lane = msw ? source_lane : kNoWavelength;
+  const std::uint64_t* cand_row = network_->candidate_row(in_module, cand_lane);
+  const SwitchModule& input = network_->input_module(in_module);
+  std::size_t n_candidates = 0;
+  for (std::size_t w = 0; w < cand_words_; ++w) {
+    std::uint64_t word = cand_row[w];
+    if (faults != nullptr) {
+      word = keep_usable(word, w, [&](std::size_t j) {
+        return !faults->middle_failed(j) &&
+               (msw ? faults->link12_usable(in_module, j, source_lane)
+                    : usable_free_lane(input, j, LinkStage::kInputToMiddle, in_module));
+      });
+    }
+    cand_mask_[w] = word;
+    n_candidates += static_cast<std::size_t>(std::popcount(word));
+  }
+  counters.candidates_per_attempt.record(n_candidates);
+  if (n_candidates == 0) return false;
+
+  // serves_ row t = the serve row of target t under its link-lane
+  // requirement AND the candidate mask, then fault-filtered like above.
+  const std::size_t n_targets = targets_.size();
+  if (serves_.size() < n_targets * cand_words_) serves_.resize(n_targets * cand_words_);
+  for (std::size_t t = 0; t < n_targets; ++t) {
+    const std::size_t target = targets_[t];
+    const Wavelength lane = demands_[target].required_link_lane;
+    const std::uint64_t* serve = network_->serve_row(target, lane);
+    std::uint64_t* row = serves_.data() + t * cand_words_;
+    for (std::size_t w = 0; w < cand_words_; ++w) {
+      std::uint64_t word = serve[w] & cand_mask_[w];
+      if (faults != nullptr) {
+        word = keep_usable(word, w, [&](std::size_t j) {
+          return lane == kNoWavelength
+                     ? usable_free_lane(network_->middle_module(j), target,
+                                        LinkStage::kMiddleToOutput, j)
+                     : faults->link23_usable(j, target, lane);
+        });
       }
-      if (serves) serves_[t * cand_words_ + (j >> 6)] |= 1ull << (j & 63);
+      row[w] = word;
     }
   }
+  return true;
 }
 
 const Route* Router::cover_and_materialize(const MulticastRequest& request) const {
@@ -339,9 +262,8 @@ const Route* Router::cover_and_materialize(const MulticastRequest& request) cons
   };
   // apply/undo record the targets newly covered at each search level in
   // newly_stack_ row `level` (= chosen_.size() before/after the push).
-  // Expansion counts accumulate in pending_spread_ and are flushed by the
-  // owning path (per request when instrumented, per batch when batched), so
-  // the inner search loop touches no atomics either way.
+  // Expansion counts accumulate in pending_spread_ and are flushed by
+  // find_route_instrumented, so the inner search loop touches no atomics.
   auto apply = [&](std::size_t j) {
     ++pending_spread_;
     std::uint64_t* newly = newly_stack_.data() + chosen_.size() * serve_words;
@@ -635,353 +557,20 @@ std::optional<ConnectionId> Router::try_connect(const MulticastRequest& request)
     return std::nullopt;
   }
   RouterMetrics::get().connects.add();
-  const ConnectionId id = network_->install(request, *route);
-  // Keep any primed batch mask rows truthful: every occupancy change the
-  // router performs repairs the touched bits, so the caches survive
-  // interleaved single-request traffic between batches (repair_masks is a
-  // no-op until a batch primes the first row).
-  repair_masks(request, *route, /*installed=*/true);
-  return id;
+  return network_->install(request, *route);
 }
 
 void Router::disconnect(ConnectionId id) {
   // Release first: a stale id throws, and a rejected disconnect must not
   // move the counter (it moved even on throw before the stale-id audit).
-  // The slot entry stays valid after release until the slot is reused, so
-  // it can still drive the mask repair for the freed lanes.
-  const auto* entry = masks_live_ ? network_->find_connection(id) : nullptr;
   network_->release(id);
   RouterMetrics::get().disconnects.add();
-  if (entry != nullptr) repair_masks(entry->first, entry->second, /*installed=*/false);
-}
-
-ConnectionId Router::reinstall(ConnectionId id, const MulticastRequest& request,
-                               const Route& route,
-                               std::optional<ConnectionId> after) {
-  const ConnectionId revived = network_->reinstall(id, request, route, after);
-  repair_masks(request, route, /*installed=*/true);
-  return revived;
 }
 
 bool Router::try_disconnect(ConnectionId id) {
-  const auto* entry = masks_live_ ? network_->find_connection(id) : nullptr;
   if (!network_->try_release(id)) return false;
   RouterMetrics::get().disconnects.add();
-  if (entry != nullptr) repair_masks(entry->first, entry->second, /*installed=*/false);
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Batched request pipeline (DESIGN.md §3.10)
-// ---------------------------------------------------------------------------
-
-const std::uint64_t* Router::ensure_candidate_row(std::size_t in_module,
-                                                  Wavelength lane) const {
-  const ClosParams& params = network_->params();
-  if (network_->construction() == Construction::kMswDominant) {
-    const std::size_t row = in_module * params.k + lane;
-    std::uint64_t* bits = cand_msw_.data() + row * cand_words_;
-    if (cand_msw_stamp_[row] != batch_gen_) {
-      cand_msw_stamp_[row] = batch_gen_;
-      masks_live_ = true;
-      pack_free_lane_bits(network_->input_module(in_module).out_words(), params.m,
-                          lane, bits, cand_words_);
-    }
-    return bits;
-  }
-  std::uint64_t* bits = cand_any_.data() + in_module * cand_words_;
-  if (cand_any_stamp_[in_module] != batch_gen_) {
-    cand_any_stamp_[in_module] = batch_gen_;
-    masks_live_ = true;
-    const SwitchModule& input = network_->input_module(in_module);
-    pack_any_free_bits(input.out_words(), params.m, input.out_lane_mask(), bits,
-                       cand_words_);
-  }
-  return bits;
-}
-
-const std::uint64_t* Router::ensure_serve_row(std::size_t out_module,
-                                              Wavelength lane) const {
-  // Unlike the candidate rows (one module's port-contiguous occupancy words,
-  // packable with the SIMD kernels), a serve row gathers one bit from each
-  // of the m middle modules, so priming is a scalar gather. Rows persist
-  // across batches (repair_masks keeps them truthful), so the gather is a
-  // one-time cost per (output module, lane) pair, not a per-batch one.
-  const ClosParams& params = network_->params();
-  if (lane == kNoWavelength) {
-    std::uint64_t* bits = serve_any_.data() + out_module * cand_words_;
-    if (serve_any_stamp_[out_module] != batch_gen_) {
-      serve_any_stamp_[out_module] = batch_gen_;
-      masks_live_ = true;
-      for (std::size_t w = 0; w < cand_words_; ++w) bits[w] = 0;
-      for (std::size_t j = 0; j < params.m; ++j) {
-        const SwitchModule& middle = network_->middle_module(j);
-        bits[j >> 6] |= static_cast<std::uint64_t>(
-                            middle.out_word(out_module) != middle.out_lane_mask())
-                        << (j & 63);
-      }
-    }
-    return bits;
-  }
-  const std::size_t row = out_module * params.k + lane;
-  std::uint64_t* bits = serve_specific_.data() + row * cand_words_;
-  if (serve_specific_stamp_[row] != batch_gen_) {
-    serve_specific_stamp_[row] = batch_gen_;
-    masks_live_ = true;
-    for (std::size_t w = 0; w < cand_words_; ++w) bits[w] = 0;
-    for (std::size_t j = 0; j < params.m; ++j) {
-      bits[j >> 6] |= static_cast<std::uint64_t>(
-                          network_->middle_module(j).out_lane_free(out_module, lane))
-                      << (j & 63);
-    }
-  }
-  return bits;
-}
-
-void Router::repair_masks(const MulticastRequest& request, const Route& route,
-                          bool installed) const {
-  if (!masks_live_) return;  // nothing primed yet: classic workloads pay nothing
-  const ClosParams& params = network_->params();
-  const std::size_t in_module = network_->input_module_of(request.input.port);
-  const SwitchModule& input = network_->input_module(in_module);
-  const auto assign_bit = [](std::uint64_t* row, std::size_t i, bool value) {
-    const std::uint64_t bit = 1ull << (i & 63);
-    if (value) {
-      row[i >> 6] |= bit;
-    } else {
-      row[i >> 6] &= ~bit;
-    }
-  };
-  // An install/release touches exactly: lane branch.link_lane on input-module
-  // out port branch.middle (per branch), and lane leg.link_lane on the link
-  // middle -> leg.out_module (per leg). The direction determines the new
-  // cached bit outright -- install made those exact lanes busy, release
-  // freed them -- so no module state is re-read except the any-free-lane
-  // rows after an install (some other lane may or may not still be free).
-  // Rows never primed fail the stamp check and are skipped.
-  for (const RouteBranch& branch : route.branches) {
-    const std::size_t j = branch.middle;
-    const std::size_t cand_row = in_module * params.k + branch.link_lane;
-    if (cand_msw_stamp_[cand_row] == batch_gen_) {
-      assign_bit(cand_msw_.data() + cand_row * cand_words_, j, !installed);
-    }
-    if (cand_any_stamp_[in_module] == batch_gen_) {
-      assign_bit(cand_any_.data() + in_module * cand_words_, j,
-                 !installed || input.out_word(j) != input.out_lane_mask());
-    }
-    const SwitchModule& middle = network_->middle_module(j);
-    for (const DeliveryLeg& leg : branch.legs) {
-      const std::size_t p = leg.out_module;
-      const std::size_t serve_row = p * params.k + leg.link_lane;
-      if (serve_specific_stamp_[serve_row] == batch_gen_) {
-        assign_bit(serve_specific_.data() + serve_row * cand_words_, j, !installed);
-      }
-      if (serve_any_stamp_[p] == batch_gen_) {
-        assign_bit(serve_any_.data() + p * cand_words_, j,
-                   !installed || middle.out_word(p) != middle.out_lane_mask());
-      }
-    }
-  }
-  // This mutation is now reflected in the masks; don't let begin_batch()
-  // treat it as a foreign one.
-  cached_epoch_ = network_->mutation_epoch();
-}
-
-const Route* Router::find_route_batched(const MulticastRequest& request,
-                                        BatchAccum& acc) const {
-  ++acc.attempts;
-  {
-  recycle_route();
-  if (!build_demands(request)) {
-    ++acc.blocked;
-    return nullptr;
-  }
-  }
-  const std::size_t in_module = network_->input_module_of(request.input.port);
-  const Wavelength source_lane = request.input.lane;
-  if (network_->active_fault_model() != nullptr) {
-    // Fault-aware fallback: classic live probing. candidate_middles feeds
-    // the registry directly, so counter totals still match a serial replay.
-    candidate_middles(in_module, source_lane);
-    if (candidates_.empty()) {
-      ++acc.blocked;
-      return nullptr;
-    }
-    build_serves_probing();
-  } else {
-    const ClosParams& params = network_->params();
-    acc.middle_probes += params.m;
-    const std::uint64_t* cand_row = ensure_candidate_row(in_module, source_lane);
-    std::size_t n_candidates = 0;
-    for (std::size_t w = 0; w < cand_words_; ++w) {
-      cand_mask_[w] = cand_row[w];
-      n_candidates += static_cast<std::size_t>(std::popcount(cand_row[w]));
-    }
-    RouterMetrics::get().candidates_per_attempt.record(n_candidates);
-    if (n_candidates == 0) {
-      ++acc.blocked;
-      return nullptr;
-    }
-    // serves_ row t = (serve row of target t under its link-lane
-    // requirement) AND the candidate mask -- exactly the predicate
-    // build_serves_probing evaluates against live state, assembled from two
-    // cached middle-masks per target instead of per-(candidate, target)
-    // probes.
-    const std::size_t n_targets = targets_.size();
-    if (serves_.size() < n_targets * cand_words_) {
-      serves_.resize(n_targets * cand_words_);
-    }
-    for (std::size_t t = 0; t < n_targets; ++t) {
-      const std::size_t target = targets_[t];
-      const std::uint64_t* serve =
-          ensure_serve_row(target, demands_[target].required_link_lane);
-      std::uint64_t* row = serves_.data() + t * cand_words_;
-      for (std::size_t w = 0; w < cand_words_; ++w) {
-        row[w] = serve[w] & cand_mask_[w];
-      }
-    }
-  }
-  const Route* route = cover_and_materialize(request);
-  if (route != nullptr) {
-    ++acc.found;
-  } else {
-    ++acc.blocked;
-  }
-  return route;
-}
-
-bool Router::batch_connect_one(const MulticastRequest& request, BatchOutcome& out,
-                               BatchAccum& acc) {
-  {
-  if (const auto error = network_->check_admissible(request)) {
-    last_error_ = *error;
-    out = {false, 0, *error};
-    return false;
-  }
-  }
-  const Route* route = find_route_batched(request, acc);
-  if (route == nullptr) {
-    last_error_ = ConnectError::kBlocked;
-    out = {false, 0, ConnectError::kBlocked};
-    return false;
-  }
-  ++acc.connects;
-  // The route was computed against current state and nothing ran in between:
-  // skip the network-level re-validation that install() would repeat. The
-  // scratch route is dead after this request, so hand its storage to the
-  // slot outright (O(1) swap; route_ inherits the slot's previous vectors,
-  // which the next request's recycle_route returns to the pools).
-  ConnectionId id;
-  {
-    id = network_->install_trusted(request, std::move(route_));
-  }
-  {
-  const auto* entry = network_->find_connection(id);
-  repair_masks(entry->first, entry->second, /*installed=*/true);
-  }
-  out = {true, id, ConnectError::kBlocked};
-  return true;
-}
-
-bool Router::batch_disconnect_one(ConnectionId id, BatchOutcome& out,
-                                  BatchAccum& acc) {
-  // The slot entry stays valid after release until the slot is reused, so it
-  // can drive the mask repair for the freed lanes.
-  const auto* entry = network_->find_connection(id);
-  if (entry == nullptr) {
-    out = {false, id, ConnectError::kBlocked};
-    return false;
-  }
-  network_->release(id);
-  ++acc.disconnects;
-  repair_masks(entry->first, entry->second, /*installed=*/false);
-  out = {true, id, ConnectError::kBlocked};
-  return true;
-}
-
-void Router::flush_accum(const BatchAccum& acc) const {
-  RouterMetrics& counters = RouterMetrics::get();
-  if (acc.attempts != 0) counters.attempts.add(acc.attempts);
-  if (acc.found != 0) counters.found.add(acc.found);
-  if (acc.blocked != 0) counters.blocked.add(acc.blocked);
-  if (acc.middle_probes != 0) counters.middle_probes.add(acc.middle_probes);
-  if (acc.connects != 0) counters.connects.add(acc.connects);
-  if (acc.disconnects != 0) counters.disconnects.add(acc.disconnects);
-  if (pending_spread_ != 0) {
-    counters.spread_expansions.add(pending_spread_);
-    pending_spread_ = 0;
-  }
-}
-
-std::size_t Router::run_batch(const BatchOp* ops, std::size_t count,
-                              BatchOutcome* outcomes) {
-  if (count == 0) return 0;
-  const auto start = std::chrono::steady_clock::now();
-  std::size_t succeeded = 0;
-  if (count == 1) {
-    // A batch of one IS the single-request path -- same counters and timers
-    // to the bit -- plus the routing.batch_* instruments below.
-    const BatchOp& op = ops[0];
-    if (op.kind == BatchOp::Kind::kConnect) {
-      const auto id = try_connect(op.request);
-      outcomes[0] = {id.has_value(), id.value_or(0),
-                     id.has_value() ? ConnectError::kBlocked : last_error_};
-    } else {
-      outcomes[0] = {try_disconnect(op.id), op.id, ConnectError::kBlocked};
-    }
-    succeeded = outcomes[0].ok ? 1 : 0;
-  } else {
-    TraceSpan span("routing.batch");
-    span.arg("ops", static_cast<std::int64_t>(count));
-    begin_batch();
-    BatchAccum acc;
-    for (std::size_t i = 0; i < count; ++i) {
-      const BatchOp& op = ops[i];
-      const bool ok = op.kind == BatchOp::Kind::kConnect
-                          ? batch_connect_one(op.request, outcomes[i], acc)
-                          : batch_disconnect_one(op.id, outcomes[i], acc);
-      if (ok) ++succeeded;
-    }
-    flush_accum(acc);
-  }
-  BatchMetrics& batch_metrics = BatchMetrics::get();
-  batch_metrics.batch_size.record(count);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  batch_metrics.batch_amortized.record_ns(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()) /
-      count);
-  return succeeded;
-}
-
-std::size_t Router::connect_batch(const MulticastRequest* requests, std::size_t count,
-                                  BatchOutcome* outcomes) {
-  if (count == 0) return 0;
-  const auto start = std::chrono::steady_clock::now();
-  std::size_t admitted = 0;
-  if (count == 1) {
-    const auto id = try_connect(requests[0]);
-    outcomes[0] = {id.has_value(), id.value_or(0),
-                   id.has_value() ? ConnectError::kBlocked : last_error_};
-    admitted = outcomes[0].ok ? 1 : 0;
-  } else {
-    TraceSpan span("routing.batch");
-    span.arg("ops", static_cast<std::int64_t>(count));
-    begin_batch();
-    BatchAccum acc;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (batch_connect_one(requests[i], outcomes[i], acc)) ++admitted;
-    }
-    flush_accum(acc);
-  }
-  BatchMetrics& batch_metrics = BatchMetrics::get();
-  batch_metrics.batch_size.record(count);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  batch_metrics.batch_amortized.record_ns(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()) /
-      count);
-  return admitted;
 }
 
 }  // namespace wdm

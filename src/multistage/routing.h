@@ -22,13 +22,16 @@
 // A greedy most-coverage-first variant exists for ablation; it can block
 // where the exhaustive search would not.
 //
-// Hot-path data layout (see DESIGN.md): the search runs entirely on
-// per-router scratch buffers -- demands in a flat array indexed by output
-// module (with stamp-based reset), the serves relation and cover state as
-// 64-bit word masks, and the result route in a pooled scratch Route whose
-// nested vectors keep their capacity -- so steady-state find_route +
-// try_connect performs zero heap allocations. The scratch makes a Router
-// single-threaded by construction (as it already was via its network).
+// Hot-path data layout (see DESIGN.md): the candidate and serve sets are
+// gathered from the network's always-live middle-stage rows (m-bit word
+// masks, ThreeStageNetwork::candidate_row/serve_row), so no request probes
+// individual middle modules. The search then runs entirely on per-router
+// scratch buffers -- demands in a flat array indexed by output module (with
+// stamp-based reset), the serves relation and cover state as 64-bit word
+// masks, and the result route in a pooled scratch Route whose nested vectors
+// keep their capacity -- so steady-state find_route + try_connect performs
+// zero heap allocations. The scratch makes a Router single-threaded by
+// construction (as it already was via its network).
 #pragma once
 
 #include <cstdint>
@@ -55,24 +58,6 @@ struct RoutingPolicy {
   std::size_t max_spread = 1;
   RouteSearch search = RouteSearch::kExhaustive;
   LanePolicy lanes = LanePolicy::kFirstFit;
-};
-
-/// One operation of a mixed batch (Router::run_batch).
-struct BatchOp {
-  enum class Kind { kConnect, kDisconnect };
-  Kind kind = Kind::kConnect;
-  MulticastRequest request;  // kConnect only
-  ConnectionId id = 0;       // kDisconnect only
-};
-
-/// Per-operation outcome of a batch. Failed disconnects (stale ids) report
-/// ok = false with the default error; failed connects carry the reason.
-struct BatchOutcome {
-  bool ok = false;
-  ConnectionId id = 0;                          // admitted connects, torn-down disconnects
-  ConnectError error = ConnectError::kBlocked;  // failed connects
-
-  friend bool operator==(const BatchOutcome&, const BatchOutcome&) = default;
 };
 
 class Router {
@@ -102,44 +87,6 @@ class Router {
   /// Non-throwing disconnect; false (and no counter movement) for stale ids.
   bool try_disconnect(ConnectionId id);
 
-  /// Validated id-reviving install of a route produced earlier against a
-  /// state the network has since returned to -- the repack executor's
-  /// rollback path (src/repack): reinstating a migrated session's original
-  /// route, under its ORIGINAL id, after its lanes came free again (see
-  /// ThreeStageNetwork::reinstall). Moves no routing counters (the session
-  /// was counted when it first connected) but repairs any primed batch mask
-  /// rows like every other occupancy change the router performs. `after`
-  /// (a live id, or 0 for the head) splices the revived session back at an
-  /// exact ConnectionView position so a full rollback restores iteration
-  /// order bit-exactly; default is the tail. Throws like
-  /// ThreeStageNetwork::install when the route no longer fits.
-  ConnectionId reinstall(ConnectionId id, const MulticastRequest& request,
-                         const Route& route,
-                         std::optional<ConnectionId> after = std::nullopt);
-
-  // -- batched request pipeline (DESIGN.md §3.10) ---------------------------
-  // Operations execute strictly in submission order against live network
-  // state, so every routing decision -- and with it every deterministic
-  // counter -- is bit-identical to replaying the same ops one at a time
-  // through try_connect/try_disconnect. The speedup is pure amortization:
-  // lazily primed candidate/serve word masks shared by every request --
-  // repaired in O(route size) after each install/release and kept truthful
-  // across batches and interleaved single requests, so priming is a one-time
-  // cost per (module, lane) pair -- trusted installs that skip the redundant
-  // end-to-end re-validation, and instrumentation flushed once per batch. A
-  // batch of size 1 delegates to the single-request path outright. With an
-  // active fault model the mask caches are bypassed (per-request fault-aware
-  // probing), order and outcomes unchanged.
-
-  /// Execute a mixed connect/disconnect batch. `outcomes[i]` reports op i;
-  /// returns the number of successful operations.
-  std::size_t run_batch(const BatchOp* ops, std::size_t count, BatchOutcome* outcomes);
-
-  /// Connect-only batch: admission + routing + installation per request, in
-  /// order. Returns the number admitted.
-  std::size_t connect_batch(const MulticastRequest* requests, std::size_t count,
-                            BatchOutcome* outcomes);
-
   [[nodiscard]] ConnectError last_error() const { return last_error_; }
 
  private:
@@ -155,41 +102,20 @@ class Router {
     Wavelength required_link_lane = kNoWavelength;
   };
 
-  /// Deterministic-counter deltas of a batch, accumulated locally and
-  /// flushed to the metrics registry once per batch so the registry totals
-  /// match a serial replay while the hot loop touches no atomics.
-  struct BatchAccum {
-    std::uint64_t attempts = 0;
-    std::uint64_t found = 0;
-    std::uint64_t blocked = 0;
-    std::uint64_t middle_probes = 0;
-    std::uint64_t connects = 0;
-    std::uint64_t disconnects = 0;
-  };
-
   /// The uninstrumented search: fills the scratch `route_` and returns its
   /// address, or nullptr when blocked at the middle stage.
   [[nodiscard]] const Route* find_route_impl(const MulticastRequest& request) const;
-  // find_route_impl is staged so the batched path can swap the probing stage
-  // for mask gathers while sharing the decision-making stages verbatim:
+  // find_route_impl runs in stages:
   //   build_demands      - stamp per-output-module demands; false = a demand
   //                        is unsatisfiable under the output model (blocked
-  //                        before any middle-stage probing).
-  //   build_serves_probing - fill serves_ for candidates_ x targets_ by
-  //                        probing live module state (single-request path).
-  //   cover_and_materialize - Lemma-4 cover search + route materialization;
-  //                        byte-for-byte the former find_route_impl tail, so
-  //                        batched and single-request routing decisions are
-  //                        identical by construction.
+  //                        before the middle stage is consulted).
+  //   gather_rows        - cand_mask_ and serves_ from the network's rows,
+  //                        filtered through the fault model when one is
+  //                        active; false = no candidate middle.
+  //   cover_and_materialize - Lemma-4 cover search + route materialization.
   [[nodiscard]] bool build_demands(const MulticastRequest& request) const;
-  void build_serves_probing() const;
+  [[nodiscard]] bool gather_rows(std::size_t in_module, Wavelength source_lane) const;
   [[nodiscard]] const Route* cover_and_materialize(const MulticastRequest& request) const;
-  /// Batched-path search: identical decisions to find_route_impl, but
-  /// candidates and the serves relation come from the batch mask caches
-  /// (primed lazily, repaired after every install/release). Falls back to
-  /// live probing when a fault model is active. Counter deltas go to `acc`.
-  [[nodiscard]] const Route* find_route_batched(const MulticastRequest& request,
-                                                BatchAccum& acc) const;
   /// find_route_impl wrapped with the route-attempt counters and the
   /// "routing.find_route" timer (see docs/BENCHMARKS.md); the result still
   /// points into the router's scratch.
@@ -208,62 +134,10 @@ class Router {
   [[nodiscard]] bool usable_free_lane(const SwitchModule& module,
                                       std::size_t out_port, LinkStage stage,
                                       std::size_t from_module) const;
-  /// Fill `candidates_` with the middle modules that could carry one more
-  /// branch from input module `in_module` on source lane `lane`.
-  void candidate_middles(std::size_t in_module, Wavelength lane) const;
 
   /// Move the previous scratch route's branches/legs back into the pools so
   /// their nested vectors' capacity is reused by the next request.
   void recycle_route() const;
-
-  // -- batch mask caches ----------------------------------------------------
-  // Word masks over middle modules (candidate side) and over output modules
-  // (plane side), valid for the current batch generation only. Each row is
-  // primed lazily from the module occupancy words the first time a batch
-  // request needs it -- the lazy prime *is* the cross-request grouping: all
-  // requests of the batch sharing a (module, lane) pair reuse one gather.
-  /// Prime (if stale) and return the candidate row for `in_module`: bit j =
-  /// middle j could carry one more branch from that module on `lane`
-  /// (MSW-dominant: lane free on in->j; MAW-dominant: any lane free).
-  [[nodiscard]] const std::uint64_t* ensure_candidate_row(std::size_t in_module,
-                                                          Wavelength lane) const;
-  /// Prime (if stale) and return the serving row for output module
-  /// `out_module`: bit j = the link middle j -> out_module can deliver on
-  /// `lane` (kNoWavelength = any free lane). Target-major, so one request
-  /// needs one row per target instead of one lookup per (candidate, target).
-  [[nodiscard]] const std::uint64_t* ensure_serve_row(std::size_t out_module,
-                                                      Wavelength lane) const;
-  /// Update the cached mask bits touched by `route` (each branch's
-  /// candidate bit, each leg's serve bit). Called after every install
-  /// (`installed` = true: the touched lanes just went busy, bits clear) and
-  /// release (`installed` = false: the touched lanes just came free, bits
-  /// set) the router performs -- batched or single-request -- so primed rows
-  /// stay valid ACROSS batches; rows never primed are skipped. Only the
-  /// any-free-lane rows after an install need a live module read; every
-  /// other bit is implied by the direction. O(route size), independent of
-  /// geometry. Syncs cached_epoch_, marking the network mutation as seen.
-  void repair_masks(const MulticastRequest& request, const Route& route,
-                    bool installed) const;
-  /// Start a batch. Mask rows persist between batches; only a network
-  /// mutation that bypassed the router's repair hooks (epoch advanced
-  /// without us seeing it -- e.g. a direct network-level install by a test
-  /// or tool) invalidates every row, in O(1).
-  void begin_batch() const {
-    if (network_->mutation_epoch() != cached_epoch_) {
-      ++batch_gen_;
-      cached_epoch_ = network_->mutation_epoch();
-    }
-  }
-
-  /// One connect of a multi-op batch: admission, batched search, trusted
-  /// install, mask repair. Updates `acc`; ok/id/error land in `out`.
-  bool batch_connect_one(const MulticastRequest& request, BatchOutcome& out,
-                         BatchAccum& acc);
-  /// One disconnect of a multi-op batch: release + mask repair; false (and
-  /// no counter movement) for stale ids.
-  bool batch_disconnect_one(ConnectionId id, BatchOutcome& out, BatchAccum& acc);
-  /// Push a batch's accumulated counter deltas into the metrics registry.
-  void flush_accum(const BatchAccum& acc) const;
 
   ThreeStageNetwork* network_;
   RoutingPolicy policy_;
@@ -275,8 +149,8 @@ class Router {
   mutable std::vector<ModuleDemand> demands_;
   mutable std::vector<std::uint64_t> demand_stamp_;
   mutable std::uint64_t demand_gen_ = 0;
-  mutable std::vector<std::size_t> targets_;     // modules with demand, ascending
-  mutable std::vector<std::size_t> candidates_;  // usable middle modules
+  mutable std::vector<std::size_t> targets_;  // modules with demand, ascending
+  std::size_t cand_words_ = 0;                // words per middle mask (m middles)
   // serves_[t * cand_words_ + w]: bit j of word w set iff candidate middle j
   // can feed target t (target-major over middle-module indices; bits of
   // non-candidate middles are zero). covered_/assigned_ are word masks over
@@ -299,42 +173,11 @@ class Router {
   mutable std::vector<std::uint64_t> newly_stack_;
   mutable std::vector<std::vector<std::uint16_t>> options_stack_;
   // Scratch result route. Emptied branches/legs are recycled through the
-  // network's shared pools (branch_pool()/leg_pool()) so storage that the
-  // swapping install migrates into connection slots flows back to the
-  // router instead of stranding in a second pool system.
+  // network's shared pools (branch_pool()/leg_pool()).
   mutable Route route_;
 
-  // -- batch mask caches (see ensure_candidate_row / ensure_serve_row) -----
-  // Rows are stamp-gated like demands_: a row is valid iff its stamp equals
-  // batch_gen_. Rows persist across batches (begin_batch() only invalidates
-  // after an unseen network mutation, in O(1)); every install/release the
-  // router performs repairs the touched bits via repair_masks. All storage
-  // is sized in the constructor, so the batched path allocates nothing in
-  // steady state. Every row is a word mask over MIDDLE modules.
-  mutable std::size_t cand_words_ = 0;  // words per middle-mask row (m middles)
-  // cand_msw_[(i*k + lane) * cand_words_ ..]: per (input module, lane) row.
-  // cand_any_[i * cand_words_ ..]: per input module any-free-lane row.
-  mutable std::vector<std::uint64_t> cand_msw_;
-  mutable std::vector<std::uint64_t> cand_any_;
-  mutable std::vector<std::uint64_t> cand_msw_stamp_;
-  mutable std::vector<std::uint64_t> cand_any_stamp_;
-  // serve_specific_[(p*k + lane) * cand_words_ ..]: bit j = lane free on the
-  // link middle j -> output module p. serve_any_[p * cand_words_ ..]: bit
-  // j = any free lane on middle j -> p.
-  mutable std::vector<std::uint64_t> serve_specific_;
-  mutable std::vector<std::uint64_t> serve_any_;
-  mutable std::vector<std::uint64_t> serve_specific_stamp_;
-  mutable std::vector<std::uint64_t> serve_any_stamp_;
-  mutable std::uint64_t batch_gen_ = 0;
-  // Last network mutation epoch the mask caches have incorporated (primed or
-  // repaired against); a mismatch in begin_batch() means someone mutated the
-  // network behind the router's back.
-  mutable std::uint64_t cached_epoch_ = 0;
-  // True once any mask row has been primed. Gates the repair hooks on the
-  // single-request paths so purely classic workloads pay nothing.
-  mutable bool masks_live_ = false;
-  // Spread expansions of the in-flight search, flushed by whichever path
-  // (instrumented single-request or batch accumulator) owns the request.
+  // Spread expansions of the in-flight search, flushed to the registry by
+  // find_route_instrumented so the search loop touches no atomics.
   mutable std::uint64_t pending_spread_ = 0;
 };
 

@@ -8,7 +8,6 @@ namespace wdm::obs {
 const char* engine_op_name(EngineOp op) {
   switch (op) {
     case EngineOp::kConnect: return "connect";
-    case EngineOp::kBatchConnect: return "batch_connect";
     case EngineOp::kDisconnect: return "disconnect";
     case EngineOp::kGrow: return "grow";
     case EngineOp::kRepack: return "repack";
@@ -99,9 +98,7 @@ void FlightRecorder::print(const Dump& dump, std::ostream& os) {
     os << "  tick " << record.tick << "  " << engine_op_name(record.op) << " "
        << engine_op_outcome_name(record.outcome) << "  session=0x" << std::hex
        << record.session << std::dec;
-    if (record.op == EngineOp::kBatchConnect) {
-      os << "  admitted=" << record.detail;
-    } else if (record.op == EngineOp::kRepack) {
+    if (record.op == EngineOp::kRepack) {
       os << "  chain=" << record.detail;
     }
     os << "\n";

@@ -35,7 +35,6 @@ namespace wdm::obs {
 
 enum class EngineOp : std::uint8_t {
   kConnect,
-  kBatchConnect,  // one record per Router::connect_batch flush
   kDisconnect,
   kGrow,
   kRepack,  // a connect admitted by migrating standing sessions (repack.h)
@@ -64,13 +63,12 @@ struct FlightRecord {
   /// a clock, so identical deterministic runs produce identical dumps.
   std::uint64_t tick = 0;
   /// The session the op touched (the new id for admissions, the probed id
-  /// for disconnect/grow, 0 for batch records).
+  /// for disconnect/grow).
   ConnectionId session = 0;
   EngineOp op = EngineOp::kConnect;
   EngineOpOutcome outcome = EngineOpOutcome::kAdmitted;
-  /// Op-specific annotation: admitted count for kBatchConnect (with the
-  /// submitted count recoverable from the drop in tick space), chain length
-  /// (sessions migrated) for kRepack, else 0.
+  /// Op-specific annotation: chain length (sessions migrated) for kRepack,
+  /// else 0.
   std::uint32_t detail = 0;
 };
 

@@ -6,9 +6,8 @@
 // dashboard reading occupancy skew would otherwise contend with the churn
 // hot path it is trying to observe. This header is the read-path split the
 // ROADMAP's engine-scaling item starts with -- shards *publish* a fixed-size
-// health snapshot at every commit point (connect / disconnect / grow /
-// batch), and any thread can read the latest one with zero mutex
-// acquisition.
+// health snapshot at every commit point (connect / disconnect / grow), and
+// any thread can read the latest one with zero mutex acquisition.
 //
 // Publication protocol (DESIGN.md §3.11): a classic single-writer seqlock
 // over a flat array of relaxed-atomic uint64 words.

@@ -95,7 +95,8 @@ void RepackExecutor::commit() {
 
 void RepackExecutor::rollback() {
   // Undo admissions newest-first, then reinstate victims newest-first --
-  // under their ORIGINAL ids (Router::reinstall revives the generation) and
+  // under their ORIGINAL ids (ThreeStageNetwork::reinstall revives the
+  // generation) and
   // at their ORIGINAL ConnectionView positions (spliced back after the
   // predecessor captured at release time), so a rolled-back transaction is
   // invisible to anyone holding session ids or iterating the view. After
@@ -107,8 +108,8 @@ void RepackExecutor::rollback() {
     router_->disconnect(admitted_[i]);
   }
   for (std::size_t i = victims_.size(); i-- > 0;) {
-    (void)router_->reinstall(victims_[i].old_id, victims_[i].request,
-                             victims_[i].route, victims_[i].prev_id);
+    (void)router_->network().reinstall(victims_[i].old_id, victims_[i].request,
+                                       victims_[i].route, victims_[i].prev_id);
   }
   if (!victims_.empty() || !admitted_.empty()) {
     RepackMetrics::get().rollbacks.add();

@@ -78,9 +78,10 @@ struct MigrationOutcome {
   bool complete = true;
 };
 
-/// Break-before-make migration transaction over a Router. All occupancy
-/// mutations go through the router (disconnect / try_connect / reinstall),
-/// never the bare network, so any primed batch mask rows stay truthful.
+/// Break-before-make migration transaction over a Router. Connects and
+/// disconnects go through the router (so the routing counters move);
+/// rollback revives victims with ThreeStageNetwork::reinstall, which moves
+/// no counter. The network keeps its middle-stage rows exact on every path.
 /// Single-threaded like the router it drives; engine shards own one each.
 class RepackExecutor {
  public:
@@ -110,7 +111,8 @@ class RepackExecutor {
   /// order, then every victim's original route reinstated in reverse
   /// release order (their lanes are free again by then, so reinstallation
   /// cannot block). Occupancy is bit-exact afterwards, every victim keeps
-  /// its pre-transaction id (Router::reinstall revives the generation), and
+  /// its pre-transaction id (ThreeStageNetwork::reinstall revives the
+  /// generation), and
   /// each is spliced back at its pre-transaction ConnectionView position
   /// (release() captures the predecessor as an undo log), so callers'
   /// stored ids AND iteration order survive a rollback unchanged.

@@ -1,7 +1,6 @@
 #include "sim/blocking_sim.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -76,111 +75,7 @@ std::string SimStats::to_string() const {
   return os.str();
 }
 
-namespace {
-
-/// Batched-arrival variant of run_dynamic_sim (config.connect_batch >= 1).
-/// Decisions draw only on the rng and every state read happens after a
-/// flush, so SimStats is bit-identical at any batch size; the batch is pure
-/// amortization (DESIGN.md §3.10).
-SimStats run_dynamic_sim_batched(MultistageSwitch& sw, const SimConfig& config) {
-  SimMetrics& counters = SimMetrics::get();
-  ScopedTimer sim_timer(counters.dynamic_sim);
-  Rng rng(config.seed);
-  SimStats stats;
-  std::vector<ConnectionId> active;
-  std::vector<MulticastRequest> pending;
-  std::vector<BatchOutcome> outcomes;
-  pending.reserve(config.connect_batch);
-  const std::size_t N = sw.port_count();
-  const std::size_t k = sw.lane_count();
-
-  const auto flush = [&] {
-    if (pending.empty()) return;
-    const std::size_t n = pending.size();
-    outcomes.resize(n);
-    const auto start = std::chrono::steady_clock::now();
-    sw.connect_batch(pending.data(), n, outcomes.data());
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    const std::uint64_t amortized_ns =
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count()) /
-        n;
-    // Deferred account-before-op (see ChurnDriver::flush_pending): op i's
-    // canonical live-session count is the flush-time base plus the
-    // admissions ahead of it in this buffer.
-    const std::size_t base = active.size();
-    std::size_t admitted_ahead = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      counters.connect.record_ns(amortized_ns);
-      stats.active_connection_steps += base + admitted_ahead;
-      const BatchOutcome& out = outcomes[i];
-      if (out.ok) {
-        ++stats.attempts;
-        counters.arrivals.add();
-        counters.request_fanout.record(pending[i].outputs.size());
-        ++stats.admitted;
-        counters.admitted.add();
-        stats.conversions += conversions_in_route(
-            pending[i], sw.network().find_connection(out.id)->second);
-        active.push_back(out.id);
-        ++admitted_ahead;
-      } else if (out.error == ConnectError::kBlocked) {
-        ++stats.attempts;
-        counters.arrivals.add();
-        counters.request_fanout.record(pending[i].outputs.size());
-        ++stats.blocked;
-        counters.blocked.add();
-      }
-      // Endpoint-busy rejections fall through: not an admissible offer,
-      // mirroring the classic path's skipped inadmissible steps.
-    }
-    stats.max_concurrent = std::max(stats.max_concurrent, active.size());
-    pending.clear();
-  };
-
-  for (std::size_t step = 0; step < config.steps; ++step) {
-    ++stats.steps;
-    if (rng.next_bool(config.arrival_fraction)) {
-      pending.push_back(random_request(rng, N, k, sw.model(), config.fanout));
-      if (pending.size() >= config.connect_batch) flush();
-    } else {
-      flush();  // victim choice and emptiness test read canonical state
-      stats.active_connection_steps += active.size();
-      if (!active.empty()) {
-        const std::size_t victim = rng.next_below(active.size());
-        {
-          ScopedTimer disconnect_timer(counters.disconnect);
-          TraceSpan span("sim.disconnect");
-          sw.disconnect(active[victim]);
-        }
-        active[victim] = active.back();
-        active.pop_back();
-        ++stats.departures;
-        counters.departures.add();
-      }
-    }
-    if (config.self_check_every != 0 && step % config.self_check_every == 0) {
-      flush();
-      counters.self_checks.add();
-      ScopedTimer check_timer(counters.self_check);
-      TraceSpan span("sim.self_check");
-      sw.network().self_check();
-    }
-  }
-  flush();
-  return stats;
-}
-
-}  // namespace
-
 SimStats run_dynamic_sim(MultistageSwitch& sw, const SimConfig& config) {
-  if (config.repack && config.connect_batch > 0) {
-    throw std::invalid_argument(
-        "run_dynamic_sim: repack mode requires classic arrivals "
-        "(connect_batch == 0)");
-  }
-  if (config.connect_batch > 0) return run_dynamic_sim_batched(sw, config);
   if (config.repack && sw.repack_engine() == nullptr) {
     sw.enable_repack(repack::RepackPolicy{});
   }

@@ -30,24 +30,11 @@ struct SimConfig {
   std::uint64_t seed = 0x5EED;
   /// Run network.self_check() every this many steps (0 = never).
   std::size_t self_check_every = 0;
-  /// 0 = classic per-request arrivals (admissible generation, one
-  /// try_connect per arrival). >= 1 = batched arrivals: requests are
-  /// generated state-free and flushed through
-  /// MultistageSwitch::connect_batch whenever this many are pending -- and
-  /// always before any departure, self-check, or the end of the run.
-  /// Endpoint-busy rejections (possible under state-free generation) count
-  /// as neither attempts nor blocks, mirroring the classic path's skipped
-  /// inadmissible steps. SimStats is bit-identical across batch sizes (see
-  /// DESIGN.md §3.10); "sim.connect" then records the amortized per-request
-  /// connect cost, so its p50 stays comparable with the classic path.
-  std::size_t connect_batch = 0;
   /// Route arrivals through MultistageSwitch::connect_with_repack so blocked
   /// requests may be admitted by migrating standing sessions (rearrangeable
   /// mode, DESIGN.md §3.12). The sim attaches a default-policy repack engine
-  /// unless the caller already enabled one. Classic arrivals only:
-  /// combining with connect_batch throws std::invalid_argument. With
-  /// `repack` false the sim is untouched -- identical decisions, counters,
-  /// and SimStats.
+  /// unless the caller already enabled one. With `repack` false the sim is
+  /// untouched -- identical decisions, counters, and SimStats.
   bool repack = false;
 };
 

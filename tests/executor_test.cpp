@@ -211,27 +211,6 @@ TEST(QueuedChurn, BitIdenticalAcrossWorkersAndQueueDepths) {
   }
 }
 
-TEST(QueuedChurn, BatchedArrivalsStayDeterministicWhenQueued) {
-  ChurnConfig config;
-  config.ops_per_shard = 800;
-  config.batch = 16;
-  config.connect_batch = 8;
-  std::optional<ChurnStats> reference;
-  {
-    ShardedEngine engine(small_config());
-    ChurnDriver driver(engine, config);
-    reference = driver.run_serial();
-  }
-  config.queued = true;
-  for (const std::size_t workers : {1u, 3u}) {
-    config.workers = workers;
-    config.queue_depth = 4;
-    ShardedEngine engine(small_config());
-    ChurnDriver driver(engine, config);
-    EXPECT_EQ(driver.run(), *reference) << "workers=" << workers;
-  }
-}
-
 // -- lock-free read surface ---------------------------------------------------
 
 TEST(LockFreeReads, FindSessionAndPrecheck) {

@@ -11,10 +11,9 @@
 // changes routing behavior ON PURPOSE, it must refresh BENCH_results.json
 // and update these constants in the same commit.
 //
-// The same goldens also pin the batched pipeline (DESIGN.md §3.10): the
-// workload is captured as a trace and pushed through Router::run_batch in
-// chunks, and every counter must land on the identical values -- the
-// batch path is pure amortization, not a different router.
+// The same goldens also pin trace replay: the workload is captured as a
+// trace and replayed op by op through try_connect/disconnect, and every
+// counter must land on the identical values.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -53,7 +52,7 @@ constexpr GoldenCounters kMawGolden{.connects = 7021,
                                     .spread_expansions = 7021};
 
 /// The bench workload geometry and sim config (full-size, default 0x5EED
-/// seed) shared by the serial and batched pins.
+/// seed) shared by the direct and trace-replay pins.
 SimConfig bench_config() {
   SimConfig config;
   config.steps = 20000;
@@ -89,13 +88,11 @@ void run_and_check(Construction construction, MulticastModel model,
   metrics().reset();
 }
 
-/// Capture the identical workload as a trace, then replay it through
-/// run_batch in chunks of `chunk` ops. A disconnect whose connect landed in
-/// the still-pending chunk forces a flush (its ConnectionId does not exist
-/// until the batch executes); everything else batches freely. The router
-/// counters must hit the same goldens as the serial run.
-void run_batched_and_check(Construction construction, MulticastModel model,
-                           const GoldenCounters& golden, std::size_t chunk) {
+/// Capture the identical workload as a trace, then replay it one op at a
+/// time on a fresh switch. The router counters must hit the same goldens as
+/// the direct run.
+void run_replay_and_check(Construction construction, MulticastModel model,
+                          const GoldenCounters& golden) {
   const auto events = record_random_workload(
       nonblocking_params(4, 4, 2, construction), construction, model,
       bench_config());
@@ -105,46 +102,18 @@ void run_batched_and_check(Construction construction, MulticastModel model,
 
   auto sw = MultistageSwitch::nonblocking(4, 4, 2, construction, model);
   std::map<std::uint64_t, ConnectionId> live;
-  std::vector<BatchOp> ops;
-  std::vector<BatchOutcome> outcomes;
-  std::vector<std::uint64_t> pending_keys;  // keys of pending connects, by op
-
-  const auto flush = [&] {
-    if (ops.empty()) return;
-    outcomes.resize(ops.size());
-    sw.run_batch(ops.data(), ops.size(), outcomes.data());
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i].kind == BatchOp::Kind::kConnect && outcomes[i].ok) {
-        live[pending_keys[i]] = outcomes[i].id;
-      }
-      EXPECT_TRUE(outcomes[i].ok);  // theorem bound: nothing blocks
-    }
-    ops.clear();
-    pending_keys.clear();
-  };
-
   for (const TraceEvent& event : events) {
-    BatchOp op;
     if (event.type == TraceEvent::Type::kConnect) {
-      op.kind = BatchOp::Kind::kConnect;
-      op.request = event.request;
-      pending_keys.push_back(event.key);
+      const auto id = sw.try_connect(event.request);
+      ASSERT_TRUE(id.has_value());  // theorem bound: nothing blocks
+      live[event.key] = *id;
     } else {
-      auto it = live.find(event.key);
-      if (it == live.end()) {
-        flush();  // the connect is in the pending chunk
-        it = live.find(event.key);
-      }
+      const auto it = live.find(event.key);
       ASSERT_NE(it, live.end()) << "disconnect for an unknown trace key";
-      op.kind = BatchOp::Kind::kDisconnect;
-      op.id = it->second;
+      sw.disconnect(it->second);
       live.erase(it);
-      pending_keys.push_back(0);  // keep ops/pending_keys index-aligned
     }
-    ops.push_back(std::move(op));
-    if (ops.size() >= chunk) flush();
   }
-  flush();
 
   expect_golden(golden);
   metrics().reset();
@@ -158,14 +127,14 @@ TEST(GoldenCounters, MawDominantChurnIsBitIdentical) {
   run_and_check(Construction::kMawDominant, MulticastModel::kMAW, kMawGolden);
 }
 
-TEST(GoldenCounters, MswDominantBatchedReplayHitsTheSameGoldens) {
-  run_batched_and_check(Construction::kMswDominant, MulticastModel::kMSW,
-                        kMswGolden, 32);
+TEST(GoldenCounters, MswDominantTraceReplayHitsTheSameGoldens) {
+  run_replay_and_check(Construction::kMswDominant, MulticastModel::kMSW,
+                       kMswGolden);
 }
 
-TEST(GoldenCounters, MawDominantBatchedReplayHitsTheSameGoldens) {
-  run_batched_and_check(Construction::kMawDominant, MulticastModel::kMAW,
-                        kMawGolden, 32);
+TEST(GoldenCounters, MawDominantTraceReplayHitsTheSameGoldens) {
+  run_replay_and_check(Construction::kMawDominant, MulticastModel::kMAW,
+                       kMawGolden);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include <new>
 #include <vector>
 
+#include "faults/fault_model.h"
 #include "multistage/builder.h"
 #include "repack/repack.h"
 #include "util/metrics.h"
@@ -142,59 +143,12 @@ void run_pass(MultistageSwitch& sw, const std::vector<Op>& script,
   live.clear();
 }
 
-/// Batched replay of the same script shape: connects accumulate into a
-/// caller-owned BatchOp buffer flushed through run_batch at kBatch pending
-/// (and before every disconnect, which needs the live set current). The
-/// buffers are assigned in place, never resized, so once their nested
-/// request vectors reach the script's high-water capacity the batched path
-/// must be allocation-free too -- including the mask-cache priming, which
-/// the Router preallocates at construction.
-struct BatchedReplay {
-  static constexpr std::size_t kBatch = 32;
-
-  std::vector<BatchOp> ops = std::vector<BatchOp>(kBatch);
-  std::vector<BatchOutcome> outcomes = std::vector<BatchOutcome>(kBatch);
-  std::size_t pending = 0;
-
-  void flush(MultistageSwitch& sw, std::vector<ConnectionId>& live) {
-    if (pending == 0) return;
-    sw.run_batch(ops.data(), pending, outcomes.data());
-    for (std::size_t i = 0; i < pending; ++i) {
-      if (outcomes[i].ok) live.push_back(outcomes[i].id);
-    }
-    pending = 0;
-  }
-
-  void run_pass(MultistageSwitch& sw, const std::vector<Op>& script,
-                std::vector<ConnectionId>& live) {
-    for (const Op& op : script) {
-      if (op.connect) {
-        ops[pending].kind = BatchOp::Kind::kConnect;
-        ops[pending].request = op.request;  // copy-assign reuses capacity
-        if (++pending == kBatch) flush(sw, live);
-      } else {
-        flush(sw, live);  // victim choice reads the live set
-        if (live.empty()) continue;
-        const std::size_t victim = op.victim_rank % live.size();
-        ops[0].kind = BatchOp::Kind::kDisconnect;
-        ops[0].id = live[victim];
-        sw.run_batch(ops.data(), 1, outcomes.data());
-        live[victim] = live.back();
-        live.pop_back();
-      }
-    }
-    flush(sw, live);
-    for (const ConnectionId id : live) sw.disconnect(id);
-    live.clear();
-  }
-};
-
 /// Warm up until one full pass performs zero allocations (the capacity
 /// fixed point; slot-reuse order permutes request shapes across slots, so
 /// the pools take a few passes to absorb every shape), then assert two more
 /// passes stay allocation-free. A switch that allocates per call never
-/// reaches the fixed point and fails the warm-up assertion. `pass` is the
-/// replay flavor under audit (serial or batched).
+/// reaches the fixed point and fails the warm-up assertion. `pass_fn` is
+/// the replay flavor under audit.
 template <typename Pass>
 void warm_up_then_expect_no_allocations(MultistageSwitch& sw,
                                         const std::vector<Op>& script,
@@ -241,26 +195,27 @@ TEST(HotPathAllocations, SteadyStateChurnIsAllocationFree) {
   warm_up_then_expect_no_allocations(sw, script, live);
 }
 
-TEST(HotPathAllocations, BatchedChurnIsAllocationFree) {
-  // The batched pipeline (DESIGN.md §3.10) must match the per-call path's
-  // zero-steady-state-allocation contract: mask caches are preallocated at
-  // construction, BatchAccum lives on the stack, and the caller-owned
-  // op/outcome buffers are assigned in place.
+TEST(HotPathAllocations, TwoWordRowsWithFaultsAreAllocationFree) {
+  // The row gather at m > 64 (every middle-stage row spans two words) with
+  // an active fault model, so each gathered bit also passes the fault
+  // filter: the network's rows are sized at construction and the filter
+  // only reads the fault model.
   set_metrics_enabled(true);
 
-  auto sw = MultistageSwitch::nonblocking(4, 8, 4, Construction::kMswDominant,
-                                          MulticastModel::kMSW);
+  MultistageSwitch sw(ClosParams{4, 8, 70, 4}, Construction::kMswDominant,
+                      MulticastModel::kMSW);
+  FaultModel faults(sw.network().params());
+  faults.fail_middle(3);
+  faults.fail({FaultComponentKind::kLink12, 1, 66, 0});
+  faults.fail({FaultComponentKind::kLink23Lane, 65, 2, 1});
+  sw.network().attach_fault_model(&faults);
   Rng rng(0xA110C);
   const std::vector<Op> script =
       make_script(sw.port_count(), sw.lane_count(), rng, 2000);
 
   std::vector<ConnectionId> live;
   live.reserve(script.size());
-  BatchedReplay replay;
-  warm_up_then_expect_no_allocations(
-      sw, script, live,
-      [&replay](MultistageSwitch& s, const std::vector<Op>& ops,
-                std::vector<ConnectionId>& l) { replay.run_pass(s, ops, l); });
+  warm_up_then_expect_no_allocations(sw, script, live);
 }
 
 TEST(HotPathAllocations, RepackEnabledIdleEngineStaysAllocationFree) {

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "multistage/builder.h"
+#include "repack/repack.h"
+#include "sim/request.h"
+#include "util/rng.h"
+
 namespace wdm {
 namespace {
 
@@ -242,6 +249,163 @@ TEST(ThreeStageNetwork, StaleIdHammerKeepsFreeListIntact) {
   }
   EXPECT_EQ(network.active_connections(), 0u);
   network.self_check();
+}
+
+// -- middle-stage rows ----------------------------------------------------------
+// self_check() re-derives all four row families (cand_lane, cand_any,
+// serve_lane, serve_any) from the module occupancy words, so calling it after
+// every mutation proves the rows stay exact on every path that changes
+// occupancy.
+
+TEST(NetworkRows, StartAllFreeIncludingPaddingBits) {
+  const ThreeStageNetwork network(ClosParams{2, 3, 65, 2},
+                                  Construction::kMawDominant,
+                                  MulticastModel::kMAW);
+  ASSERT_EQ(network.row_words(), 2u);
+  for (const Wavelength lane : {Wavelength{0}, Wavelength{1}, kNoWavelength}) {
+    EXPECT_EQ(network.candidate_row(2, lane)[0], ~0ull);
+    EXPECT_EQ(network.candidate_row(2, lane)[1], 1ull);  // middle 64 only
+    EXPECT_EQ(network.serve_row(1, lane)[1], 1ull);
+  }
+  network.self_check();
+}
+
+TEST(NetworkRows, ChurnKeepsRowsExact) {
+  // Seeded churn through install, release, and reinstall (with and without
+  // `after`), at one-lane and full-word links and one-, two- and three-word
+  // rows.
+  std::uint64_t seed = 0x50B5;
+  for (const std::size_t k : {1u, 64u}) {
+    for (const std::size_t m : {5u, 65u, 136u}) {
+      const Construction construction = (m + k) % 2 == 0
+                                            ? Construction::kMswDominant
+                                            : Construction::kMawDominant;
+      MultistageSwitch sw(ClosParams{3, 3, m, k}, construction,
+                          MulticastModel::kMAW);
+      ThreeStageNetwork& network = sw.network();
+      SCOPED_TRACE(network.params().to_string());
+      Rng rng(seed++);
+      std::vector<ConnectionId> live;
+      std::size_t reinstalls = 0;
+      for (int step = 0; step < 150; ++step) {
+        const std::uint64_t action = rng.next_below(10);
+        if (live.empty() || action < 5) {
+          if (const auto request = random_admissible_request(rng, network, {1, 5})) {
+            if (const auto id = sw.try_connect(*request)) live.push_back(*id);
+          }
+        } else if (action < 8) {
+          const std::size_t victim = rng.next_below(live.size());
+          sw.disconnect(live[victim]);
+          live[victim] = live.back();
+          live.pop_back();
+        } else {
+          // Release then revive the exact id, spliced back in place
+          // (`after`) or appended at the tail.
+          const ConnectionId id = live[rng.next_below(live.size())];
+          const ConnectionId prev = network.predecessor_of(id);
+          const auto entry = *network.find_connection(id);
+          network.release(id);
+          network.self_check();
+          const ConnectionId revived =
+              action == 8 ? network.reinstall(id, entry.first, entry.second, prev)
+                          : network.reinstall(id, entry.first, entry.second);
+          ASSERT_EQ(revived, id);
+          ++reinstalls;
+        }
+        network.self_check();
+      }
+      EXPECT_GT(reinstalls, 5u);
+      for (const ConnectionId id : live) sw.disconnect(id);
+      network.self_check();
+    }
+  }
+}
+
+// Mixed connect/disconnect script on a switch built at its nonblocking bound:
+// endpoint-inadmissible requests are refused up front, so no admissible
+// request may ever come back kBlocked, and the rows must stay exact after
+// every op.
+void check_mixed_churn(std::size_t n, std::size_t r, std::size_t k,
+                       Construction construction, MulticastModel model) {
+  auto sw = MultistageSwitch::nonblocking(n, r, k, construction, model);
+  ThreeStageNetwork& network = sw.network();
+  SCOPED_TRACE(network.params().to_string());
+  Rng rng(0xD15C0);
+  std::vector<ConnectionId> live;
+  std::size_t connects = 0;
+  std::size_t disconnects = 0;
+  for (int step = 0; step < 400; ++step) {
+    if (live.empty() || rng.next_bool(0.6)) {
+      const MulticastRequest request = random_request(
+          rng, sw.port_count(), sw.lane_count(), sw.model(), {1, 4});
+      if (const auto id = sw.try_connect(request)) {
+        live.push_back(*id);
+        ++connects;
+      } else {
+        EXPECT_NE(sw.last_error(), ConnectError::kBlocked) << "step " << step;
+      }
+    } else {
+      const std::size_t victim = rng.next_below(live.size());
+      ASSERT_TRUE(sw.try_disconnect(live[victim]));
+      live[victim] = live.back();
+      live.pop_back();
+      ++disconnects;
+    }
+    network.self_check();
+  }
+  EXPECT_GT(connects, 0u);
+  EXPECT_GT(disconnects, 0u);
+  for (const ConnectionId id : live) sw.disconnect(id);
+  EXPECT_EQ(network.active_connections(), 0u);
+  network.self_check();
+}
+
+TEST(NetworkRows, MixedChurnMswDominant) {
+  check_mixed_churn(4, 4, 2, Construction::kMswDominant, MulticastModel::kMSW);
+}
+
+TEST(NetworkRows, MixedChurnMawDominant) {
+  check_mixed_churn(3, 4, 3, Construction::kMawDominant, MulticastModel::kMAW);
+}
+
+TEST(NetworkRows, RepackRollbackKeepsRowsExact) {
+  // m=4 is below the Theorem 1 bound of n=r=4, so requests block and repack
+  // runs; every few transactions are killed mid-chain and rolled back
+  // through ThreeStageNetwork::reinstall.
+  MultistageSwitch sw(ClosParams{4, 4, 4, 2}, Construction::kMswDominant,
+                      MulticastModel::kMSW);
+  sw.enable_repack(repack::RepackPolicy{});
+  ThreeStageNetwork& network = sw.network();
+  std::size_t injected = 0;
+  std::size_t calls = 0;
+  sw.repack_engine()->set_failure_injection([&](std::size_t) {
+    if (++calls % 3 != 0) return false;
+    ++injected;
+    return true;
+  });
+
+  Rng rng(0x0A7C);
+  std::vector<ConnectionId> live;
+  for (int step = 0; step < 3000; ++step) {
+    if (live.empty() || rng.next_bool(0.7)) {
+      const auto request = random_admissible_request(rng, network, {1, 4});
+      if (!request) continue;
+      if (const auto id = sw.connect_with_repack(*request)) {
+        live.push_back(*id);
+        for (const auto& [old_id, new_id] : sw.repack_engine()->last_moved()) {
+          *std::find(live.begin(), live.end(), old_id) = new_id;
+        }
+      }
+    } else {
+      const std::size_t victim = rng.next_below(live.size());
+      sw.disconnect(live[victim]);
+      live[victim] = live.back();
+      live.pop_back();
+    }
+    network.self_check();
+  }
+  EXPECT_GT(injected, 10u);
+  EXPECT_GT(sw.repack_engine()->sessions_moved_total(), 0u);
 }
 
 }  // namespace

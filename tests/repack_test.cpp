@@ -145,7 +145,6 @@ struct FabricSnapshot {
   std::vector<std::pair<ConnectionId, ThreeStageNetwork::ConnectionView::Entry>>
       sessions;
   std::vector<std::uint64_t> out_words;
-  std::uint64_t epoch = 0;
 
   static FabricSnapshot of(const ThreeStageNetwork& network) {
     FabricSnapshot snap;
@@ -168,7 +167,6 @@ struct FabricSnapshot {
     for (std::size_t p = 0; p < params.r; ++p) {
       append_stage(network.output_module(p), params.n);
     }
-    snap.epoch = network.mutation_epoch();
     return snap;
   }
 
@@ -402,14 +400,6 @@ TEST(RepackIdentity, AtTheBoundTheEngineNeverEngages) {
   EXPECT_EQ(a.blocked, 0u);  // Theorem 1 provisioning
   EXPECT_EQ(a, b);
   EXPECT_EQ(repacking.repack_engine()->sessions_moved_total(), 0u);
-}
-
-TEST(RepackIdentity, BatchArrivalsRejected) {
-  auto sw = below_bound_switch();
-  SimConfig config = churn_config();
-  config.repack = true;
-  config.connect_batch = 8;
-  EXPECT_THROW((void)run_dynamic_sim(sw, config), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
