@@ -28,6 +28,10 @@
 //
 // Environment: WDM_FLIGHT_DUMP=<path> writes the engine benches' flight
 // recorder rings there (the post-mortem artifact CI uploads).
+#if defined(__linux__)
+#include <malloc.h>  // mallinfo2
+#endif
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -85,6 +89,17 @@ void maybe_dump_flight(const engine::ShardedEngine& engine, const char* bench) {
   }
   os << "=== " << bench << " ===\n";
   engine.dump_flight_recorders(os);
+}
+
+/// Bytes the allocator has handed out and not yet had back (glibc
+/// mallinfo2: arena chunks in use plus mmapped blocks); 0 elsewhere.
+std::size_t heap_bytes_in_use() {
+#if defined(__GLIBC__)
+  const struct mallinfo2 info = ::mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
 }
 
 struct BenchCase {
@@ -577,7 +592,13 @@ BenchResult bench_engine_soak(bool tiny) {
   const std::size_t target =
       (ports * lanes * 3) / 4;  // fill 75% of the endpoint space
 
+  // Report-only footprint: the heap bytes the engine holds per shard before
+  // it holds a session. Heap bytes, not RSS: in this multi-case process the
+  // engine reuses pages earlier cases freed, so an RSS delta reads low.
+  const std::size_t heap_before = heap_bytes_in_use();
   engine::ShardedEngine engine(config);
+  const std::size_t empty_shard_heap_kib =
+      (heap_bytes_in_use() - heap_before) / config.shards / 1024;
   std::vector<engine::SessionId> filled;
   filled.reserve(target);
   std::size_t blocked = 0;
@@ -659,7 +680,8 @@ BenchResult bench_engine_soak(bool tiny) {
                                   {"fill_sessions", filled.size()},
                                   {"fill_blocked", blocked},
                                   {"ops_per_shard", churn.ops_per_shard},
-                                  {"probes", probes}});
+                                  {"probes", probes},
+                                  {"empty_shard_heap_kib", empty_shard_heap_kib}});
   result.ok = fill_ok && drain_ok && probes > 0 && misdecoded == 0 &&
               stats.total.stale_accepted == 0;
   return result;

@@ -8,7 +8,9 @@
 //      input endpoints; the default target fills 1,000,000 of them. The
 //      RSS delta across the fill, divided by the session count, must stay
 //      under --budget-bytes (read from /proc/self/statm, so the gate is
-//      Linux-only and reports "n/a" elsewhere).
+//      Linux-only and reports "n/a" elsewhere). The empty engine's RSS
+//      divided by --shards is printed as the report-only "empty shard"
+//      footprint.
 //   2. Saturated churn: with the million sessions still standing, the
 //      queued ChurnDriver pushes sustained connect/disconnect/grow
 //      traffic through the single-writer executor while a reader thread
@@ -207,6 +209,10 @@ int main(int argc, char** argv) {
               << (rss_filled - rss_engine) / (1024 * 1024) << " MiB = "
               << per_session << " bytes/session (budget " << budget << ")"
               << (budget_ok ? "" : "  FAIL") << "\n";
+    // Report-only: what one shard costs before it holds a session.
+    std::cout << "memory: empty shard: "
+              << (rss_engine - rss_before) / config.shards / 1024
+              << " KiB (engine base / " << config.shards << " shards)\n";
   } else {
     std::cout << "memory: /proc/self/statm unavailable -- budget gate n/a\n";
   }

@@ -159,7 +159,8 @@ void ChurnDriver::grow_tick(Lane& lane, std::size_t victim) {
                                            ? request.input.lane
                                            : request.outputs.front().lane;
       for (std::size_t port = 0; port < N; ++port) {
-        if (!port_used(port) && !network.output_busy({port, lane_required})) {
+        if (!port_used(port) &&
+            (network.output_lanes_busy(port) >> lane_required & 1u) == 0) {
           candidates.push_back({port, lane_required});
         }
       }
@@ -168,16 +169,9 @@ void ChurnDriver::grow_tick(Lane& lane, std::size_t victim) {
     case MulticastModel::kMAW: {
       for (std::size_t port = 0; port < N; ++port) {
         if (port_used(port)) continue;
-        std::vector<Wavelength> lanes;
-        for (Wavelength lane_candidate = 0; lane_candidate < k;
-             ++lane_candidate) {
-          if (!network.output_busy({port, lane_candidate})) {
-            lanes.push_back(lane_candidate);
-          }
-        }
-        if (!lanes.empty()) {
-          candidates.push_back(
-              {port, lanes[lane.rng.next_below(lanes.size())]});
+        if (const auto free_lane =
+                draw_free_lane(lane.rng, network.output_lanes_busy(port), k)) {
+          candidates.push_back({port, *free_lane});
         }
       }
       break;

@@ -78,6 +78,8 @@ class SwitchModule {
     return (out_used_[port] >> lane & 1u) == 0;
   }
 
+  /// Raw occupancy word of an input port; see out_word.
+  [[nodiscard]] std::uint64_t in_word(std::size_t port) const { return in_used_[port]; }
   /// Raw occupancy word of an output port (bit = lane, 1 = busy): one load
   /// yields all k lanes (the network's any-lane rows test it against
   /// out_lane_mask()). No range check -- callers index from the network

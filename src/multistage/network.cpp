@@ -96,9 +96,6 @@ ThreeStageNetwork::ThreeStageNetwork(ClosParams params, Construction constructio
     middles_.emplace_back(params_.r, params_.r, params_.k, inner,
                           "mid" + std::to_string(j));
   }
-  busy_inputs_.assign(port_count() * params_.k, 0);
-  busy_outputs_.assign(port_count() * params_.k, 0);
-  endpoint_stamp_.assign(port_count() * params_.k, 0);
   middle_stamp_.assign(params_.m, 0);
   module_stamp_.assign(params_.r, 0);
 
@@ -170,13 +167,13 @@ std::optional<ConnectError> ThreeStageNetwork::check_admissible(
                                              network_model_)) {
     return error;
   }
-  // The shape check guarantees every endpoint is in range, so the flat
+  // The shape check guarantees every endpoint is in range, so the word
   // lookups below cannot go out of bounds.
-  if (busy_inputs_[endpoint_index(request.input)] != 0) {
+  if (input_lanes_busy(request.input.port) >> request.input.lane & 1u) {
     return ConnectError::kInputBusy;
   }
   for (const auto& out : request.outputs) {
-    if (busy_outputs_[endpoint_index(out)] != 0) return ConnectError::kOutputBusy;
+    if (output_lanes_busy(out.port) >> out.lane & 1u) return ConnectError::kOutputBusy;
   }
   return std::nullopt;
 }
@@ -189,6 +186,8 @@ std::optional<std::string> ThreeStageNetwork::check_route(
   // iff it equals the current generation, so the former per-call std::sets
   // become array writes with no clearing and no allocation.
   const std::uint64_t gen = ++stamp_generation_;
+  std::vector<WavelengthEndpoint>& routed = routed_scratch_;
+  routed.clear();
   std::size_t routed_count = 0;
 
   // The legs must partition the request's destinations by output module.
@@ -212,15 +211,14 @@ std::optional<std::string> ThreeStageNetwork::check_route(
         if (output_module_of(dest.port) != leg.out_module) {
           return "destination " + dest.to_string() + " not in leg's output module";
         }
-        // The module-membership check bounds dest.port; a lane beyond k
-        // cannot be stamped (it has no endpoint cell) but also cannot have
-        // been routed before, and the module dry-run below rejects it.
+        // The module-membership check bounds dest.port; a lane beyond k is
+        // never recorded as routed (so it is reported missing, not twice),
+        // and the module dry-run below rejects it.
         if (dest.lane < params_.k) {
-          const std::size_t index = endpoint_index(dest);
-          if (endpoint_stamp_[index] == gen) {
+          if (std::find(routed.begin(), routed.end(), dest) != routed.end()) {
             return "destination " + dest.to_string() + " routed twice";
           }
-          endpoint_stamp_[index] = gen;
+          routed.push_back(dest);
         }
         ++routed_count;
       }
@@ -231,8 +229,7 @@ std::optional<std::string> ThreeStageNetwork::check_route(
            std::to_string(request.outputs.size()) + " destinations";
   }
   for (const auto& out : request.outputs) {
-    if (out.port >= port_count() || out.lane >= params_.k ||
-        endpoint_stamp_[endpoint_index(out)] != gen) {
+    if (std::find(routed.begin(), routed.end(), out) == routed.end()) {
       return "destination " + out.to_string() + " missing from route";
     }
   }
@@ -541,8 +538,8 @@ ConnectionId ThreeStageNetwork::commit_slot(std::uint32_t slot) {
   }
   update_rows(in_module, route, /*installed=*/true);
 
-  // Commit: bump the generation (ids are nonzero because generation >= 1),
-  // link at the tail of the insertion-order list, mark the endpoints.
+  // Commit: bump the generation (ids are nonzero because generation >= 1)
+  // and link at the tail of the insertion-order list.
   ++entry.generation;
   entry.active = true;
   entry.prev = tail_;
@@ -554,11 +551,7 @@ ConnectionId ThreeStageNetwork::commit_slot(std::uint32_t slot) {
   }
   tail_ = slot;
   ++active_count_;
-
-  const ConnectionId id = make_id(slot, entry.generation);
-  busy_inputs_[endpoint_index(request.input)] = id;
-  for (const auto& out : request.outputs) busy_outputs_[endpoint_index(out)] = id;
-  return id;
+  return make_id(slot, entry.generation);
 }
 
 void ThreeStageNetwork::release(ConnectionId id) {
@@ -579,9 +572,6 @@ void ThreeStageNetwork::release(ConnectionId id) {
     outputs_[module].remove_transit(transit);
   }
   update_rows(in_module, route, /*installed=*/false);
-
-  busy_inputs_[endpoint_index(request.input)] = 0;
-  for (const auto& out : request.outputs) busy_outputs_[endpoint_index(out)] = 0;
 
   if (entry.prev != kNoSlot) {
     connection_slots_[entry.prev].next = entry.next;
@@ -608,16 +598,6 @@ const ThreeStageNetwork::ConnectionView::Entry* ThreeStageNetwork::find_connecti
     ConnectionId id) const {
   const std::uint32_t slot = slot_of(id);
   return slot == kNoSlot ? nullptr : &connection_slots_[slot].entry;
-}
-
-bool ThreeStageNetwork::input_busy(const WavelengthEndpoint& endpoint) const {
-  if (endpoint.port >= port_count() || endpoint.lane >= params_.k) return false;
-  return busy_inputs_[endpoint_index(endpoint)] != 0;
-}
-
-bool ThreeStageNetwork::output_busy(const WavelengthEndpoint& endpoint) const {
-  if (endpoint.port >= port_count() || endpoint.lane >= params_.k) return false;
-  return busy_outputs_[endpoint_index(endpoint)] != 0;
 }
 
 DestinationMultiset ThreeStageNetwork::middle_destination_multiset(
@@ -710,27 +690,31 @@ void ThreeStageNetwork::self_check() const {
     }
   }
 
-  // Rebuild the expected endpoint occupancy from the connection table and
-  // compare with the flat busy vectors; also re-derive the active count and
-  // insertion-list length so slot bookkeeping cannot silently diverge.
-  std::vector<ConnectionId> expected_inputs(busy_inputs_.size(), 0);
-  std::vector<ConnectionId> expected_outputs(busy_outputs_.size(), 0);
+  // Rebuild the endpoint words (one per port, bit = lane) from the
+  // connection table and compare with the edge modules; also re-derive the
+  // active count and insertion-list length so slot bookkeeping cannot
+  // silently diverge.
+  std::vector<std::uint64_t> expected_inputs(port_count(), 0);
+  std::vector<std::uint64_t> expected_outputs(port_count(), 0);
   std::size_t walked = 0;
   for (const auto& [id, entry] : connections()) {
     ++walked;
-    const auto& [request, route] = entry;
-    expected_inputs[endpoint_index(request.input)] = id;
+    const MulticastRequest& request = entry.first;
+    expected_inputs[request.input.port] |= 1ull << request.input.lane;
     for (const auto& out : request.outputs) {
-      expected_outputs[endpoint_index(out)] = id;
+      expected_outputs[out.port] |= 1ull << out.lane;
     }
   }
   if (walked != active_count_) {
     throw std::logic_error(
         "ThreeStageNetwork: connection list length diverged from active count");
   }
-  if (expected_inputs != busy_inputs_ || expected_outputs != busy_outputs_) {
-    throw std::logic_error(
-        "ThreeStageNetwork: endpoint busy maps diverged from connection table");
+  for (std::size_t port = 0; port < port_count(); ++port) {
+    if (expected_inputs[port] != input_lanes_busy(port) ||
+        expected_outputs[port] != output_lanes_busy(port)) {
+      throw std::logic_error(
+          "ThreeStageNetwork: endpoint words diverged from connection table");
+    }
   }
 }
 

@@ -16,25 +16,25 @@
 // can never become physically meaningless; the Router (routing.h) is the
 // component that *finds* routes.
 //
-// Hot-path data layout (see DESIGN.md): endpoint occupancy is flat
-// `port * k + lane`-indexed vectors (0 = free) and the connection/transit
-// tables are generation-checked free-list slots threaded on an
-// insertion-order list, so install()/release() are O(route size) with zero
-// steady-state heap allocations, and iteration over connections() preserves
-// the old map's ascending-id (i.e. insertion) order. Like install/release
-// themselves, the const validation queries reuse per-network scratch
-// buffers, so a network must not be shared across threads without external
-// synchronization (workloads that parallelize, e.g. sim/sweep, use one
-// network per task; src/engine shards sessions across replicas, one mutex
-// per network).
+// Hot-path data layout (see DESIGN.md): endpoint occupancy is the edge
+// modules' per-port lane words (first-stage inbound, third-stage outbound)
+// and the connection/transit tables are generation-checked free-list slots
+// threaded on an insertion-order list, so install()/release() are O(route
+// size) with zero steady-state heap allocations, and iteration over
+// connections() preserves the old map's ascending-id (i.e. insertion) order.
+// Like install/release themselves, the const validation queries reuse
+// per-network scratch buffers, so a network must not be shared across
+// threads without external synchronization (workloads that parallelize,
+// e.g. sim/sweep, use one network per task; src/engine shards sessions
+// across replicas, one mutex per network).
 //
 // Thread-safety contract, per method class:
 //   * install/release/try_release and check_route mutate network state or
 //     the mutable validation scratch -- exclusive access required.
-//   * check_admissible, input_busy/output_busy, find_connection,
-//     connections(), and the topology getters read only committed state
-//     (flat busy vectors + slot table, no scratch), so concurrent readers
-//     are safe with each other -- though still not with a concurrent writer.
+//   * check_admissible, the *_busy queries, find_connection, connections(),
+//     and the topology getters read only committed state (edge-module port
+//     words + slot table, no scratch), so concurrent readers are safe with
+//     each other -- though still not with a concurrent writer.
 #pragma once
 
 #include <cstdint>
@@ -274,8 +274,23 @@ class ThreeStageNetwork {
     return spare_route_legs_;
   }
 
-  [[nodiscard]] bool input_busy(const WavelengthEndpoint& endpoint) const;
-  [[nodiscard]] bool output_busy(const WavelengthEndpoint& endpoint) const;
+  /// One port's k lanes (bit = lane, 1 = busy): the word its first-stage
+  /// (input) or third-stage (output) module keeps. Requires port < N.
+  [[nodiscard]] std::uint64_t input_lanes_busy(std::size_t port) const {
+    return inputs_[port / params_.n].in_word(port % params_.n);
+  }
+  [[nodiscard]] std::uint64_t output_lanes_busy(std::size_t port) const {
+    return outputs_[port / params_.n].out_word(port % params_.n);
+  }
+  /// One endpoint's bit of the words above; false for out-of-range endpoints.
+  [[nodiscard]] bool input_busy(const WavelengthEndpoint& e) const {
+    return e.port < port_count() && e.lane < params_.k &&
+           (input_lanes_busy(e.port) >> e.lane & 1u);
+  }
+  [[nodiscard]] bool output_busy(const WavelengthEndpoint& e) const {
+    return e.port < port_count() && e.lane < params_.k &&
+           (output_lanes_busy(e.port) >> e.lane & 1u);
+  }
   [[nodiscard]] std::size_t active_connections() const { return active_count_; }
   [[nodiscard]] ConnectionView connections() const { return ConnectionView(this); }
 
@@ -289,9 +304,10 @@ class ThreeStageNetwork {
   [[nodiscard]] std::vector<bool> middle_plane_destinations(std::size_t j,
                                                             Wavelength lane) const;
 
-  /// Deep consistency check: every module self-checks, busy-endpoint maps
-  /// match the connection table, and all four middle-stage row families
-  /// match a re-derivation from the module occupancy words. Throws
+  /// Deep consistency check: every module self-checks, the edge modules'
+  /// endpoint words (first-stage inbound, third-stage outbound) match a
+  /// rebuild from the connection table, and all four middle-stage row
+  /// families match a re-derivation from the module occupancy words. Throws
   /// std::logic_error on failure.
   void self_check() const;
 
@@ -329,8 +345,8 @@ class ThreeStageNetwork {
   /// Pop a free connection slot (or grow the table by one).
   [[nodiscard]] std::uint32_t acquire_slot();
   /// Shared tail of install() and reinstall(): install the transits of the
-  /// (validated) route already stored in `slot`, update the middle-stage
-  /// rows, and mark the endpoints busy.
+  /// (validated) route already stored in `slot` and update the middle-stage
+  /// rows.
   ConnectionId commit_slot(std::uint32_t slot);
   /// Bring the row bits a route touches up to date after its lanes were
   /// taken (`installed`) or freed: each branch's candidate bits and each
@@ -348,10 +364,6 @@ class ThreeStageNetwork {
   /// slot alternating between route shapes would re-allocate forever.
   void copy_route_into(Route& dst, const Route& src);
 
-  [[nodiscard]] std::size_t endpoint_index(const WavelengthEndpoint& endpoint) const {
-    return endpoint.port * params_.k + endpoint.lane;
-  }
-
   ClosParams params_;
   Construction construction_;
   MulticastModel network_model_;
@@ -361,11 +373,6 @@ class ThreeStageNetwork {
   std::vector<SwitchModule> outputs_;
 
   const FaultModel* faults_ = nullptr;  // not owned; nullptr = fault-free
-
-  // Flat endpoint occupancy: index = port * k + lane, value = owning
-  // connection id (0 = free; ids are always nonzero).
-  std::vector<ConnectionId> busy_inputs_;
-  std::vector<ConnectionId> busy_outputs_;
 
   std::vector<ConnectionSlot> connection_slots_;
   std::vector<std::uint32_t> free_connection_slots_;
@@ -395,9 +402,9 @@ class ThreeStageNetwork {
   // "was this seen during generation g" sets without clearing: a cell is set
   // iff it equals the current generation counter.
   mutable std::vector<ModulePortLane> portlane_scratch_;
-  mutable std::vector<std::uint64_t> endpoint_stamp_;  // per (port, lane)
-  mutable std::vector<std::uint64_t> middle_stamp_;    // per middle module
-  mutable std::vector<std::uint64_t> module_stamp_;    // per output module
+  mutable std::vector<WavelengthEndpoint> routed_scratch_;  // route's destinations
+  mutable std::vector<std::uint64_t> middle_stamp_;  // per middle module
+  mutable std::vector<std::uint64_t> module_stamp_;  // per output module
   mutable std::uint64_t stamp_generation_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "sim/request.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace wdm {
@@ -40,6 +41,17 @@ MulticastRequest random_request(Rng& rng, std::size_t N, std::size_t k,
   return request;
 }
 
+std::optional<Wavelength> draw_free_lane(Rng& rng, std::uint64_t busy,
+                                         std::size_t k) {
+  const auto free_count = k - static_cast<std::size_t>(std::popcount(busy));
+  if (free_count == 0) return std::nullopt;
+  // Clear the lowest `pick` free bits; bits >= k of ~busy are never reached
+  // because pick < free_count.
+  std::uint64_t free = ~busy;
+  for (auto pick = rng.next_below(free_count); pick > 0; --pick) free &= free - 1;
+  return static_cast<Wavelength>(std::countr_zero(free));
+}
+
 namespace {
 
 /// Shared generator body; `source_ports` restricts the input-wavelength draw
@@ -55,8 +67,9 @@ std::optional<MulticastRequest> admissible_request_impl(
   // Free input wavelengths (on the allowed source ports).
   std::vector<WavelengthEndpoint> free_inputs;
   auto collect_port = [&](std::size_t port) {
+    const std::uint64_t busy = network.input_lanes_busy(port);
     for (Wavelength lane = 0; lane < k; ++lane) {
-      if (!network.input_busy({port, lane})) free_inputs.push_back({port, lane});
+      if ((busy >> lane & 1u) == 0) free_inputs.push_back({port, lane});
     }
   };
   if (source_ports == nullptr) {
@@ -72,7 +85,7 @@ std::optional<MulticastRequest> admissible_request_impl(
 
   // Candidate destinations consistent with the model's lane discipline.
   auto free_output = [&](std::size_t port, Wavelength lane) {
-    return !network.output_busy({port, lane});
+    return (network.output_lanes_busy(port) >> lane & 1u) == 0;
   };
 
   std::vector<WavelengthEndpoint> candidates;  // at most one per port
@@ -87,15 +100,16 @@ std::optional<MulticastRequest> admissible_request_impl(
     }
     case MulticastModel::kMSDW: {
       // Pick the destination lane first (uniform over lanes that have at
-      // least one free port), then use all ports free on it.
+      // least one free port), then use all ports free on it. A lane is
+      // usable iff its bit is clear in some port's word, i.e. clear in the
+      // AND of all of them.
+      std::uint64_t busy_everywhere = ~0ull;
+      for (std::size_t port = 0; port < N; ++port) {
+        busy_everywhere &= network.output_lanes_busy(port);
+      }
       std::vector<Wavelength> usable_lanes;
       for (Wavelength lane = 0; lane < k; ++lane) {
-        for (std::size_t port = 0; port < N; ++port) {
-          if (free_output(port, lane)) {
-            usable_lanes.push_back(lane);
-            break;
-          }
-        }
+        if ((busy_everywhere >> lane & 1u) == 0) usable_lanes.push_back(lane);
       }
       if (usable_lanes.empty()) return std::nullopt;
       const Wavelength lane = usable_lanes[rng.next_below(usable_lanes.size())];
@@ -106,13 +120,8 @@ std::optional<MulticastRequest> admissible_request_impl(
     }
     case MulticastModel::kMAW: {
       for (std::size_t port = 0; port < N; ++port) {
-        // Uniform choice among the port's free lanes.
-        std::vector<Wavelength> lanes;
-        for (Wavelength lane = 0; lane < k; ++lane) {
-          if (free_output(port, lane)) lanes.push_back(lane);
-        }
-        if (!lanes.empty()) {
-          candidates.push_back({port, lanes[rng.next_below(lanes.size())]});
+        if (const auto lane = draw_free_lane(rng, network.output_lanes_busy(port), k)) {
+          candidates.push_back({port, *lane});
         }
       }
       break;

@@ -43,6 +43,13 @@ struct FanoutRange {
     Rng& rng, const ThreeStageNetwork& network, FanoutRange fanout,
     const std::vector<std::size_t>& source_ports);
 
+/// Uniform draw among the free lanes of one port, given its busy word (bit =
+/// lane, 1 = busy; see ThreeStageNetwork::output_lanes_busy): returns the
+/// i-th free lane in ascending order for i = rng.next_below(free count).
+/// Draws nothing and returns nullopt when all k lanes are busy.
+[[nodiscard]] std::optional<Wavelength> draw_free_lane(Rng& rng, std::uint64_t busy,
+                                                       std::size_t k);
+
 /// A connection pre-installed over an explicit route (bypassing the router)
 /// so scenarios can pin down the exact network state.
 struct ScriptedConnection {

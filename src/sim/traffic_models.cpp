@@ -1,6 +1,7 @@
 #include "sim/traffic_models.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -62,8 +63,9 @@ std::optional<MulticastRequest> skewed_admissible_request(
   // Free input wavelength, uniform (sources are not skewed).
   std::vector<WavelengthEndpoint> free_inputs;
   for (std::size_t port = 0; port < N; ++port) {
+    const std::uint64_t busy = network.input_lanes_busy(port);
     for (Wavelength lane = 0; lane < k; ++lane) {
-      if (!network.input_busy({port, lane})) free_inputs.push_back({port, lane});
+      if ((busy >> lane & 1u) == 0) free_inputs.push_back({port, lane});
     }
   }
   if (free_inputs.empty()) return std::nullopt;
@@ -82,18 +84,12 @@ std::optional<MulticastRequest> skewed_admissible_request(
     const std::size_t port = popularity->sample(rng);
     if (taken[port]) continue;
     Wavelength dest_lane = lane;
+    const std::uint64_t busy = network.output_lanes_busy(port);
     if (network.network_model() == MulticastModel::kMAW) {
-      // Any free lane of the popular port.
-      bool found = false;
-      for (Wavelength candidate = 0; candidate < k; ++candidate) {
-        if (!network.output_busy({port, candidate})) {
-          dest_lane = candidate;
-          found = true;
-          break;
-        }
-      }
-      if (!found) continue;
-    } else if (network.output_busy({port, dest_lane})) {
+      // The lowest free lane of the popular port.
+      if (std::popcount(busy) == static_cast<int>(k)) continue;
+      dest_lane = static_cast<Wavelength>(std::countr_zero(~busy));
+    } else if (busy >> dest_lane & 1u) {
       continue;
     }
     taken[port] = true;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 #include "multistage/builder.h"
 #include "repack/repack.h"
@@ -406,6 +408,169 @@ TEST(NetworkRows, RepackRollbackKeepsRowsExact) {
   }
   EXPECT_GT(injected, 10u);
   EXPECT_GT(sw.repack_engine()->sessions_moved_total(), 0u);
+}
+
+
+// -- endpoint occupancy -------------------------------------------------------
+// Endpoint busy state is read from the edge modules' port words; these tests
+// hold it against a plain std::set reference kept from the test's own record
+// of what is installed.
+
+TEST(NetworkEndpoints, BusyQueriesMatchReference) {
+  const MulticastModel models[] = {MulticastModel::kMSW, MulticastModel::kMSDW,
+                                   MulticastModel::kMAW};
+  std::uint64_t seed = 0xE9D0;
+  for (const Construction construction :
+       {Construction::kMswDominant, Construction::kMawDominant}) {
+    for (const MulticastModel model : models) {
+      auto sw = MultistageSwitch::nonblocking(3, 3, 3, construction, model);
+      ThreeStageNetwork& network = sw.network();
+      const std::size_t N = network.port_count();
+      const std::size_t k = network.lane_count();
+      SCOPED_TRACE(network.params().to_string() + " " + model_name(model));
+      Rng rng(seed++);
+      std::map<ConnectionId, MulticastRequest> live;
+      std::set<WavelengthEndpoint> busy_in;
+      std::set<WavelengthEndpoint> busy_out;
+      const auto mark = [&](const MulticastRequest& request, bool busy) {
+        if (busy) {
+          busy_in.insert(request.input);
+          busy_out.insert(request.outputs.begin(), request.outputs.end());
+        } else {
+          busy_in.erase(request.input);
+          for (const auto& out : request.outputs) busy_out.erase(out);
+        }
+      };
+      const auto reference_error =
+          [&](const MulticastRequest& request) -> std::optional<ConnectError> {
+        if (const auto error = check_request_shape(request, N, k, model)) return error;
+        if (busy_in.contains(request.input)) return ConnectError::kInputBusy;
+        for (const auto& out : request.outputs) {
+          if (busy_out.contains(out)) return ConnectError::kOutputBusy;
+        }
+        return std::nullopt;
+      };
+      std::size_t reinstalls = 0;
+      std::set<ConnectError> kinds_seen;
+      for (int step = 0; step < 200; ++step) {
+        const std::uint64_t action = rng.next_below(10);
+        if (live.empty() || action < 5) {
+          if (const auto request = random_admissible_request(rng, network, {1, 4})) {
+            if (const auto id = sw.try_connect(*request)) {
+              live.emplace(*id, *request);
+              mark(*request, true);
+            }
+          }
+        } else if (action < 8) {
+          auto victim = std::next(live.begin(), rng.next_below(live.size()));
+          network.release(victim->first);
+          mark(victim->second, false);
+          live.erase(victim);
+        } else {
+          // Release, check the endpoints went free, then revive the exact id
+          // spliced back in place (`after`) or appended at the tail.
+          const auto& [id, request] =
+              *std::next(live.begin(), rng.next_below(live.size()));
+          const ConnectionId prev = network.predecessor_of(id);
+          const auto entry = *network.find_connection(id);
+          network.release(id);
+          mark(request, false);
+          EXPECT_FALSE(network.input_busy(request.input));
+          for (const auto& out : request.outputs) EXPECT_FALSE(network.output_busy(out));
+          EXPECT_EQ(network.check_admissible(request), std::nullopt);
+          const ConnectionId revived =
+              action == 8 ? network.reinstall(id, entry.first, entry.second, prev)
+                          : network.reinstall(id, entry.first, entry.second);
+          ASSERT_EQ(revived, id);
+          mark(request, true);
+          ++reinstalls;
+        }
+
+        for (std::size_t port = 0; port < N; ++port) {
+          std::uint64_t in_word = 0;
+          std::uint64_t out_word = 0;
+          for (Wavelength lane = 0; lane < k; ++lane) {
+            const bool in = busy_in.contains({port, lane});
+            const bool out = busy_out.contains({port, lane});
+            ASSERT_EQ(network.input_busy({port, lane}), in) << port << "/" << lane;
+            ASSERT_EQ(network.output_busy({port, lane}), out) << port << "/" << lane;
+            in_word |= std::uint64_t{in} << lane;
+            out_word |= std::uint64_t{out} << lane;
+          }
+          ASSERT_EQ(network.input_lanes_busy(port), in_word) << port;
+          ASSERT_EQ(network.output_lanes_busy(port), out_word) << port;
+        }
+        // Out-of-range endpoints are never busy.
+        EXPECT_FALSE(network.input_busy({N, 0}));
+        EXPECT_FALSE(network.output_busy({0, static_cast<Wavelength>(k)}));
+
+        // Probe requests drawn under every model's lane discipline, some with
+        // a destination overwritten by a random in- or out-of-range endpoint,
+        // so every ConnectError kind admission can return shows up.
+        for (int probe = 0; probe < 8; ++probe) {
+          MulticastRequest request =
+              random_request(rng, N, k, models[rng.next_below(3)], {1, 4});
+          if (rng.next_bool(0.3)) {
+            request.outputs[rng.next_below(request.outputs.size())] = {
+                rng.next_below(N + 1), static_cast<Wavelength>(rng.next_below(k))};
+          }
+          const auto expected = reference_error(request);
+          ASSERT_EQ(network.check_admissible(request), expected)
+              << request.to_string();
+          if (expected) kinds_seen.insert(*expected);
+        }
+      }
+      network.self_check();
+      EXPECT_GT(reinstalls, 5u);
+      EXPECT_TRUE(kinds_seen.contains(ConnectError::kInputBusy));
+      EXPECT_TRUE(kinds_seen.contains(ConnectError::kOutputBusy));
+      EXPECT_TRUE(kinds_seen.contains(ConnectError::kBadGeometry));
+    }
+  }
+}
+
+// -- malformed routes --------------------------------------------------------
+// check_route finds duplicate and missing destinations by comparing the
+// route's destinations pairwise; each failure keeps its exact reason.
+
+TEST(NetworkRoutes, MalformedRoutesKeepTheirReasons) {
+  ThreeStageNetwork network(small_params(), Construction::kMswDominant,
+                            MulticastModel::kMSW);
+  const MulticastRequest request{{0, 0}, {{0, 0}, {2, 0}}};
+  const auto two_branch = [](std::vector<WavelengthEndpoint> first,
+                             std::vector<WavelengthEndpoint> second) {
+    Route route;
+    route.branches = {
+        RouteBranch{0, 0, {DeliveryLeg{0, 0, std::move(first)}}},
+        RouteBranch{1, 0, {DeliveryLeg{1, 0, std::move(second)}}},
+    };
+    return route;
+  };
+
+  EXPECT_EQ(network.check_route(request, two_branch({{0, 0}, {0, 0}}, {{2, 0}})),
+            "destination (p0,λ1) routed twice");
+  EXPECT_EQ(network.check_route(request, two_branch({{0, 0}}, {{3, 0}})),
+            "destination (p2,λ1) missing from route");
+  EXPECT_EQ(network.check_route(request, unicast_route(0, 0, 0, 0, {0, 0})),
+            "route covers 1 of 2 destinations");
+  EXPECT_EQ(network.check_route(request, two_branch({{0, 0}, {1, 0}}, {{2, 0}})),
+            "route covers 3 of 2 destinations");
+
+  // A destination lane >= k is never counted as routed twice: it is reported
+  // missing when the request names it, and it inflates the cover count when
+  // it repeats.
+  const MulticastRequest beyond_k{{0, 0}, {{0, 0}, {2, 5}}};
+  EXPECT_EQ(network.check_route(beyond_k, two_branch({{0, 0}}, {{2, 5}})),
+            "destination (p2,λ6) missing from route");
+  EXPECT_EQ(network.check_route(beyond_k, two_branch({{0, 0}}, {{2, 5}, {2, 5}})),
+            "route covers 3 of 2 destinations");
+  EXPECT_EQ(network.check_route(request, two_branch({{0, 0}}, {{2, 5}})),
+            "destination (p2,λ1) missing from route");
+
+  // Nothing was installed along the way, and the scratch leaves no trace:
+  // the well-formed route still validates.
+  EXPECT_EQ(network.check_route(request, two_branch({{0, 0}}, {{2, 0}})), std::nullopt);
+  EXPECT_EQ(network.active_connections(), 0u);
 }
 
 }  // namespace
