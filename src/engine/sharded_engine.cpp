@@ -381,7 +381,7 @@ GrowResult ShardedEngine::grow_locked(std::size_t shard, ConnectionId id,
     return {};
   }
 
-  // Copies must be taken before the release disposes the slot.
+  // Copies must be taken before the release: the entry is decode scratch.
   MulticastRequest grown = entry->first;
   grown.outputs.push_back(destination);
   const MulticastRequest original_request = entry->first;

@@ -75,46 +75,37 @@ std::optional<std::string> SwitchModule::check_transit(
   return std::nullopt;
 }
 
-SwitchModule::TransitId SwitchModule::add_transit(
-    const ModulePortLane& in, const std::vector<ModulePortLane>& outs) {
+void SwitchModule::occupy(const ModulePortLane& in,
+                          const std::vector<ModulePortLane>& outs) {
   if (const auto reason = check_transit(in, outs)) {
-    throw std::logic_error("SwitchModule[" + name_ + "]::add_transit: " + *reason);
+    throw std::logic_error("SwitchModule[" + name_ + "]::occupy: " + *reason);
   }
   in_used_[in.port] |= 1ull << in.lane;
   for (const auto& out : outs) out_used_[out.port] |= 1ull << out.lane;
   busy_out_lanes_ += outs.size();  // check_transit rejected busy lanes
-
-  std::uint32_t slot;
-  if (!free_transit_slots_.empty()) {
-    slot = free_transit_slots_.back();
-    free_transit_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(transit_slots_.size());
-    transit_slots_.emplace_back();
-  }
-  TransitSlot& entry = transit_slots_[slot];
-  entry.in = in;
-  entry.outs = outs;  // copy-assign: a reused slot keeps its capacity
-  ++entry.generation;
-  entry.active = true;
-  ++active_transits_;
-  return make_id(slot, entry.generation);
 }
 
-void SwitchModule::remove_transit(TransitId id) {
-  const std::uint32_t slot = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-  const std::uint32_t generation = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= transit_slots_.size() || !transit_slots_[slot].active ||
-      transit_slots_[slot].generation != generation) {
-    throw std::out_of_range("SwitchModule[" + name_ + "]: unknown transit id");
+void SwitchModule::vacate(const ModulePortLane& in,
+                          const std::vector<ModulePortLane>& outs) {
+  // Clear lane by lane; a lane that is out of range or already free (named
+  // twice, say) restores the lanes cleared so far and throws.
+  const auto held = [this](const std::vector<std::uint64_t>& words,
+                           const ModulePortLane& at) {
+    return at.port < words.size() && at.lane < lanes_ && (words[at.port] >> at.lane & 1u);
+  };
+  const bool in_held = held(in_used_, in);
+  std::size_t cleared = 0;
+  while (in_held && cleared < outs.size() && held(out_used_, outs[cleared])) {
+    out_used_[outs[cleared].port] &= ~(1ull << outs[cleared].lane);
+    ++cleared;
   }
-  TransitSlot& entry = transit_slots_[slot];
-  in_used_[entry.in.port] &= ~(1ull << entry.in.lane);
-  for (const auto& out : entry.outs) out_used_[out.port] &= ~(1ull << out.lane);
-  busy_out_lanes_ -= entry.outs.size();
-  entry.active = false;
-  --active_transits_;
-  free_transit_slots_.push_back(slot);
+  if (!in_held || cleared != outs.size()) {
+    while (cleared-- > 0) out_used_[outs[cleared].port] |= 1ull << outs[cleared].lane;
+    throw std::logic_error("SwitchModule[" + name_ + "]::vacate: transit from " +
+                           in.to_string() + " names a lane it does not hold");
+  }
+  in_used_[in.port] &= ~(1ull << in.lane);
+  busy_out_lanes_ -= outs.size();
 }
 
 std::size_t SwitchModule::free_out_lanes(std::size_t port) const {
@@ -142,33 +133,6 @@ std::optional<Wavelength> SwitchModule::lowest_free_out_lane(std::size_t port) c
 }
 
 void SwitchModule::self_check() const {
-  std::vector<std::uint64_t> in_expected(in_ports(), 0);
-  std::vector<std::uint64_t> out_expected(out_ports(), 0);
-  std::size_t active = 0;
-  for (const TransitSlot& entry : transit_slots_) {
-    if (!entry.active) continue;
-    ++active;
-    if (in_expected[entry.in.port] >> entry.in.lane & 1u) {
-      throw std::logic_error("SwitchModule[" + name_ +
-                             "]: two transits share an inbound wavelength");
-    }
-    in_expected[entry.in.port] |= 1ull << entry.in.lane;
-    for (const auto& out : entry.outs) {
-      if (out_expected[out.port] >> out.lane & 1u) {
-        throw std::logic_error("SwitchModule[" + name_ +
-                               "]: two transits share an outbound wavelength");
-      }
-      out_expected[out.port] |= 1ull << out.lane;
-    }
-  }
-  if (active != active_transits_) {
-    throw std::logic_error("SwitchModule[" + name_ +
-                           "]: active transit count diverged from slot table");
-  }
-  if (in_expected != in_used_ || out_expected != out_used_) {
-    throw std::logic_error("SwitchModule[" + name_ +
-                           "]: occupancy bitmap diverged from transit list");
-  }
   std::size_t busy = 0;
   for (const std::uint64_t word : out_used_) {
     busy += static_cast<std::size_t>(std::popcount(word));

@@ -9,17 +9,19 @@
 //   MSW : every endpoint lane equals the inbound lane (no conversion),
 //   MSDW: all outbound lanes equal; inbound lane free (one converter),
 //   MAW : all lanes free (converter per outbound wavelength).
-// SwitchModule records active transits and rejects illegal ones eagerly;
-// ThreeStageNetwork embeds these so every link's occupancy is visible from
-// both of its endpoint modules and can be cross-checked.
+// SwitchModule holds occupancy only: occupy() rejects an illegal transit
+// eagerly and sets its lanes, vacate() clears lanes that are held. It keeps
+// no record of which transit holds which lane -- ThreeStageNetwork stores
+// each connection once, as a flat record, and walks it to undo the
+// occupancy (network.h). Every link's occupancy is visible from both of its
+// endpoint modules, so the network can cross-check them.
 //
 // Hot-path data layout: per-port lane occupancy is one uint64_t word per
 // port (k <= 64, enforced at construction), so the router's feasibility
 // queries are word ops -- free_out_lanes is a popcount, lowest_free_out_lane
-// a countr_zero -- instead of vector<bool> scans. Transits live in a
-// free-list slot vector whose per-slot `outs` buffers keep their capacity
-// across reuse, so steady-state add_transit/remove_transit churn performs no
-// heap allocations (see DESIGN.md "Hot-path data layout").
+// a countr_zero -- instead of vector<bool> scans, and occupy/vacate touch
+// one word per lane and allocate nothing (see DESIGN.md "Hot-path data
+// layout").
 #pragma once
 
 #include <cstdint>
@@ -43,8 +45,6 @@ struct ModulePortLane {
 
 class SwitchModule {
  public:
-  using TransitId = std::uint64_t;
-
   /// Lanes per fiber are capped so a port's occupancy fits one machine word.
   static constexpr std::size_t kMaxLanes = 64;
 
@@ -62,12 +62,13 @@ class SwitchModule {
   [[nodiscard]] std::optional<std::string> check_transit(
       const ModulePortLane& in, const std::vector<ModulePortLane>& outs) const;
 
-  /// Install a transit; throws std::logic_error with the check_transit
-  /// reason on failure.
-  TransitId add_transit(const ModulePortLane& in, const std::vector<ModulePortLane>& outs);
+  /// Take a transit's lanes; throws std::logic_error with the check_transit
+  /// reason (and changes nothing) when the transit is not legal right now.
+  void occupy(const ModulePortLane& in, const std::vector<ModulePortLane>& outs);
 
-  /// Remove a transit; throws std::out_of_range for unknown ids.
-  void remove_transit(TransitId id);
+  /// Free a transit's lanes; throws std::logic_error (and changes nothing)
+  /// unless every lane named is in range and held, each named once.
+  void vacate(const ModulePortLane& in, const std::vector<ModulePortLane>& outs);
 
   [[nodiscard]] bool in_lane_free(std::size_t port, Wavelength lane) const {
     check_slot(port, lane, in_used_.size());
@@ -99,33 +100,18 @@ class SwitchModule {
   /// Lowest free lane of an output port, if any.
   [[nodiscard]] std::optional<Wavelength> lowest_free_out_lane(std::size_t port) const;
 
-  [[nodiscard]] std::size_t active_transits() const { return active_transits_; }
-
   /// Busy output lanes summed over every output port: the popcount of
-  /// out_words(), kept incrementally by add_transit/remove_transit so the
-  /// engine's health publish reads it in O(1).
+  /// out_words(), kept incrementally by occupy/vacate so the engine's health
+  /// publish reads it in O(1).
   [[nodiscard]] std::size_t busy_out_lanes() const { return busy_out_lanes_; }
 
-  /// Recompute occupancy from the transit list and compare with the cached
-  /// bitmaps; throws std::logic_error on divergence. Used by network
-  /// self-checks and the property tests.
+  /// busy_out_lanes() must equal the out words' popcount; throws
+  /// std::logic_error otherwise. Which transit holds which lane is the
+  /// network's to check (ThreeStageNetwork::self_check vacates every
+  /// connection record from copies of its modules).
   void self_check() const;
 
  private:
-  /// One entry of the transit free-list. A released slot keeps its `outs`
-  /// capacity for the next transit; `generation` is embedded in the public
-  /// TransitId so stale ids are detected in O(1).
-  struct TransitSlot {
-    ModulePortLane in;
-    std::vector<ModulePortLane> outs;
-    std::uint32_t generation = 0;
-    bool active = false;
-  };
-
-  static TransitId make_id(std::uint32_t slot, std::uint32_t generation) {
-    return (static_cast<TransitId>(generation) << 32) | slot;
-  }
-
   void check_slot(std::size_t port, Wavelength lane, std::size_t ports) const {
     if (port >= ports || lane >= lanes_) {
       throw std::out_of_range("SwitchModule[" + name_ + "]: port/lane out of range");
@@ -139,9 +125,6 @@ class SwitchModule {
   // occupancy bitmasks: word per port, bit = lane
   std::vector<std::uint64_t> in_used_;
   std::vector<std::uint64_t> out_used_;
-  std::vector<TransitSlot> transit_slots_;
-  std::vector<std::uint32_t> free_transit_slots_;
-  std::size_t active_transits_ = 0;
   std::size_t busy_out_lanes_ = 0;
 };
 

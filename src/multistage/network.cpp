@@ -25,12 +25,54 @@ std::string Route::to_string() const {
   return os.str();
 }
 
+namespace {
+
+/// Words of arena size class c: 4, 6, 8, 12, 16, 24, ... (two per octave).
+std::size_t block_words(std::size_t c) { return (4 + 2 * (c & 1)) << (c >> 1); }
+std::size_t block_class(std::size_t words) {
+  std::size_t c = 0;
+  while (block_words(c) < words) ++c;
+  return c;
+}
+
+/// Append a parked element to `into` (a fresh one when none is parked).
+template <typename T>
+T& unpark(std::vector<T>& parked, std::vector<T>& into) {
+  if (parked.empty()) return into.emplace_back();
+  into.push_back(std::move(parked.back()));
+  parked.pop_back();
+  return into.back();
+}
+
+}  // namespace
+
+void RoutePool::recycle(Route& route) {
+  for (RouteBranch& branch : route.branches) {
+    for (DeliveryLeg& leg : branch.legs) {
+      leg.destinations.clear();
+      legs_.push_back(std::move(leg));
+    }
+    branch.legs.clear();
+    branches_.push_back(std::move(branch));
+  }
+  route.branches.clear();
+}
+
+RouteBranch& RoutePool::add_branch(Route& route) { return unpark(branches_, route.branches); }
+
+DeliveryLeg& RoutePool::add_leg(RouteBranch& branch) { return unpark(legs_, branch.legs); }
+
+void RoutePool::drop_last_branch(Route& route) {
+  branches_.push_back(std::move(route.branches.back()));
+  route.branches.pop_back();
+}
+
 // -- ConnectionView ----------------------------------------------------------
 
 ThreeStageNetwork::ConnectionView::const_iterator::value_type
 ThreeStageNetwork::ConnectionView::const_iterator::operator*() const {
-  const ConnectionSlot& slot = network_->connection_slots_[slot_];
-  return {make_id(slot_, slot.generation), slot.entry};
+  return {make_id(slot_, network_->connection_slots_[slot_].generation),
+          network_->decode(slot_, network_->walked_)};
 }
 
 ThreeStageNetwork::ConnectionView::const_iterator&
@@ -59,17 +101,17 @@ bool ThreeStageNetwork::ConnectionView::contains(ConnectionId id) const {
 
 const ThreeStageNetwork::ConnectionView::Entry&
 ThreeStageNetwork::ConnectionView::at(ConnectionId id) const {
-  const std::uint32_t slot = network_->slot_of(id);
-  if (slot == kNoSlot) {
+  const Entry* entry = network_->find_connection(id);
+  if (entry == nullptr) {
     throw std::out_of_range("ThreeStageNetwork: unknown connection id");
   }
-  return network_->connection_slots_[slot].entry;
+  return *entry;
 }
 
 std::uint32_t ThreeStageNetwork::slot_of(ConnectionId id) const {
   const std::uint32_t slot = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
   const std::uint32_t generation = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= connection_slots_.size() || !connection_slots_[slot].active ||
+  if (slot >= connection_slots_.size() || connection_slots_[slot].length == 0 ||
       connection_slots_[slot].generation != generation) {
     return kNoSlot;
   }
@@ -82,6 +124,11 @@ ThreeStageNetwork::ThreeStageNetwork(ClosParams params, Construction constructio
                                      MulticastModel network_model)
     : params_(params), construction_(construction), network_model_(network_model) {
   params_.validate();
+  if (std::max(port_count(), params_.m) >= std::size_t{1} << 26) {
+    throw std::invalid_argument(
+        "ThreeStageNetwork: ports and middle modules must number below 2^26 "
+        "(connection records pack index << 6 | lane into 32 bits)");
+  }
   const MulticastModel inner = inner_model();
   inputs_.reserve(params_.r);
   outputs_.reserve(params_.r);
@@ -290,127 +337,66 @@ std::optional<std::string> ThreeStageNetwork::check_route(
   return std::nullopt;
 }
 
-void ThreeStageNetwork::copy_route_into(Route& dst, const Route& src) {
-  while (dst.branches.size() > src.branches.size()) {
-    RouteBranch& surplus = dst.branches.back();
-    while (!surplus.legs.empty()) {
-      surplus.legs.back().destinations.clear();
-      spare_route_legs_.push_back(std::move(surplus.legs.back()));
-      surplus.legs.pop_back();
-    }
-    spare_route_branches_.push_back(std::move(surplus));
-    dst.branches.pop_back();
-  }
-  while (dst.branches.size() < src.branches.size()) {
-    if (spare_route_branches_.empty()) {
-      dst.branches.emplace_back();
-    } else {
-      dst.branches.push_back(std::move(spare_route_branches_.back()));
-      spare_route_branches_.pop_back();
-    }
-  }
-  for (std::size_t b = 0; b < src.branches.size(); ++b) {
-    RouteBranch& dst_branch = dst.branches[b];
-    const RouteBranch& src_branch = src.branches[b];
-    dst_branch.middle = src_branch.middle;
-    dst_branch.link_lane = src_branch.link_lane;
-    while (dst_branch.legs.size() > src_branch.legs.size()) {
-      dst_branch.legs.back().destinations.clear();
-      spare_route_legs_.push_back(std::move(dst_branch.legs.back()));
-      dst_branch.legs.pop_back();
-    }
-    while (dst_branch.legs.size() < src_branch.legs.size()) {
-      if (spare_route_legs_.empty()) {
-        dst_branch.legs.emplace_back();
-      } else {
-        dst_branch.legs.push_back(std::move(spare_route_legs_.back()));
-        spare_route_legs_.pop_back();
-      }
-    }
-    for (std::size_t l = 0; l < src_branch.legs.size(); ++l) {
-      DeliveryLeg& dst_leg = dst_branch.legs[l];
-      const DeliveryLeg& src_leg = src_branch.legs[l];
-      dst_leg.out_module = src_leg.out_module;
-      dst_leg.link_lane = src_leg.link_lane;
-      dst_leg.destinations = src_leg.destinations;  // flat: capacity reuse
-    }
+void ThreeStageNetwork::validate_or_throw(const char* caller,
+                                          const MulticastRequest& request,
+                                          const Route& route) const {
+  // No endpoint-busy precheck: the edge modules' dry runs in check_route
+  // reject a busy input or output wavelength.
+  const auto error = check_request_shape(request, port_count(), params_.k, network_model_);
+  const auto reason = error ? std::string(connect_error_name(*error)) + " for " +
+                                  request.to_string()
+                            : check_route(request, route);
+  if (reason) {
+    throw std::logic_error(std::string("ThreeStageNetwork::") + caller + ": " + *reason);
   }
 }
 
 ConnectionId ThreeStageNetwork::install(const MulticastRequest& request,
                                         const Route& route) {
-  if (const auto error = check_admissible(request)) {
-    throw std::logic_error(std::string("ThreeStageNetwork::install: ") +
-                           connect_error_name(*error) + " for " + request.to_string());
-  }
-  if (const auto reason = check_route(request, route)) {
-    throw std::logic_error("ThreeStageNetwork::install: " + *reason);
-  }
+  validate_or_throw("install", request, route);
   const std::uint32_t slot = acquire_slot();
-  ConnectionSlot& entry = connection_slots_[slot];
-  entry.entry.first = request;  // copy-assign: keeps vector capacity
-  copy_route_into(entry.entry.second, route);
-  return commit_slot(slot);
+  store_record(slot, request, route);
+  return commit_slot(slot, tail_);
 }
 
 ConnectionId ThreeStageNetwork::reinstall(ConnectionId id,
                                           const MulticastRequest& request,
                                           const Route& route,
                                           std::optional<ConnectionId> after) {
-  // Resolve the splice target up front so a bad `after` rejects the whole
-  // call before any state moves (kNoSlot doubles as "leave at the tail").
-  std::uint32_t after_slot = kNoSlot;
-  bool splice = false;
+  // Resolve the position up front so a bad `after` rejects the whole call
+  // before any state moves: by default the tail, else directly after
+  // `*after` (kNoSlot = the head).
+  std::uint32_t prev_slot = tail_;
   if (after) {
-    splice = true;
-    if (*after != 0) {
-      after_slot = slot_of(*after);
-      if (after_slot == kNoSlot) {
-        throw std::logic_error(
-            "ThreeStageNetwork::reinstall: `after` does not name a live "
-            "connection");
-      }
+    prev_slot = *after == 0 ? kNoSlot : slot_of(*after);
+    if (*after != 0 && prev_slot == kNoSlot) {
+      throw std::logic_error(
+          "ThreeStageNetwork::reinstall: `after` does not name a live "
+          "connection");
     }
   }
-  const auto slot = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-  const auto generation = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= connection_slots_.size() || connection_slots_[slot].active ||
+  const std::uint32_t slot = slot_of_id(id);
+  const std::uint32_t generation = generation_of_id(id);
+  if (slot >= connection_slots_.size() || connection_slots_[slot].length != 0 ||
       generation == 0) {
     throw std::logic_error(
         "ThreeStageNetwork::reinstall: id does not name a free slot");
   }
-  if (const auto error = check_admissible(request)) {
-    throw std::logic_error(std::string("ThreeStageNetwork::reinstall: ") +
-                           connect_error_name(*error) + " for " +
-                           request.to_string());
-  }
-  if (const auto reason = check_route(request, route)) {
-    throw std::logic_error("ThreeStageNetwork::reinstall: " + *reason);
-  }
+  validate_or_throw("reinstall", request, route);
   // Claim the specific slot off the free list (cold path: rollback only).
-  bool found = false;
-  for (std::size_t i = 0; i < free_connection_slots_.size(); ++i) {
-    if (free_connection_slots_[i] == slot) {
-      free_connection_slots_[i] = free_connection_slots_.back();
-      free_connection_slots_.pop_back();
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
+  const auto free_slot = std::find(free_connection_slots_.begin(),
+                                   free_connection_slots_.end(), slot);
+  if (free_slot == free_connection_slots_.end()) {
     throw std::logic_error(
         "ThreeStageNetwork::reinstall: slot missing from the free list");
   }
-  ConnectionSlot& entry = connection_slots_[slot];
-  entry.entry.first = request;  // copy-assign: keeps vector capacity
-  copy_route_into(entry.entry.second, route);
+  *free_slot = free_connection_slots_.back();
+  free_connection_slots_.pop_back();
+  store_record(slot, request, route);
   // commit_slot bumps the generation, so re-arm it one below the target:
   // the id it mints is bit-identical to the one the caller is reviving.
-  entry.generation = generation - 1;
-  const ConnectionId revived = commit_slot(slot);
-  // commit_slot appended at the tail; splice to the requested position.
-  if (splice) move_slot_after(slot, after_slot);
-  return revived;
+  connection_slots_[slot].generation = generation - 1;
+  return commit_slot(slot, prev_slot);
 }
 
 ConnectionId ThreeStageNetwork::predecessor_of(ConnectionId id) const {
@@ -424,48 +410,21 @@ ConnectionId ThreeStageNetwork::predecessor_of(ConnectionId id) const {
   return make_id(prev, connection_slots_[prev].generation);
 }
 
-void ThreeStageNetwork::move_slot_after(std::uint32_t slot,
-                                        std::uint32_t prev_slot) {
-  if (prev_slot == slot) return;  // already trivially in place
+void ThreeStageNetwork::unlink(std::uint32_t slot) {
+  const ConnectionSlot& entry = connection_slots_[slot];
+  (entry.prev != kNoSlot ? connection_slots_[entry.prev].next : head_) = entry.next;
+  (entry.next != kNoSlot ? connection_slots_[entry.next].prev : tail_) = entry.prev;
+}
+
+void ThreeStageNetwork::link_after(std::uint32_t slot, std::uint32_t prev_slot) {
   ConnectionSlot& entry = connection_slots_[slot];
-  if (entry.prev == prev_slot) return;  // nothing to do
-  // Unlink.
-  if (entry.prev != kNoSlot) {
-    connection_slots_[entry.prev].next = entry.next;
-  } else {
-    head_ = entry.next;
-  }
-  if (entry.next != kNoSlot) {
-    connection_slots_[entry.next].prev = entry.prev;
-  } else {
-    tail_ = entry.prev;
-  }
-  // Re-link after prev_slot (kNoSlot = head).
-  if (prev_slot == kNoSlot) {
-    entry.prev = kNoSlot;
-    entry.next = head_;
-    if (head_ != kNoSlot) {
-      connection_slots_[head_].prev = slot;
-    } else {
-      tail_ = slot;
-    }
-    head_ = slot;
-  } else {
-    ConnectionSlot& prev = connection_slots_[prev_slot];
-    entry.prev = prev_slot;
-    entry.next = prev.next;
-    if (prev.next != kNoSlot) {
-      connection_slots_[prev.next].prev = slot;
-    } else {
-      tail_ = slot;
-    }
-    prev.next = slot;
-  }
+  entry.prev = prev_slot;
+  entry.next = prev_slot != kNoSlot ? connection_slots_[prev_slot].next : head_;
+  (entry.next != kNoSlot ? connection_slots_[entry.next].prev : tail_) = slot;
+  (prev_slot != kNoSlot ? connection_slots_[prev_slot].next : head_) = slot;
 }
 
 std::uint32_t ThreeStageNetwork::acquire_slot() {
-  // Acquire a slot first so the transit lists can be built directly into its
-  // reusable vectors (a reused slot performs no allocations here).
   if (!free_connection_slots_.empty()) {
     const std::uint32_t slot = free_connection_slots_.back();
     free_connection_slots_.pop_back();
@@ -476,80 +435,120 @@ std::uint32_t ThreeStageNetwork::acquire_slot() {
   return slot;
 }
 
-void ThreeStageNetwork::update_rows(std::size_t in_module, const Route& route,
-                                    bool installed) {
-  // A lane that was just taken clears its per-lane bit and leaves the
-  // any-lane bit set only while the link still has some other free lane; a
-  // lane that was just freed sets both.
-  const auto assign_bit = [](std::uint64_t* row, std::size_t j, bool value) {
-    const std::uint64_t bit = 1ull << (j & 63);
-    row[j >> 6] = value ? row[j >> 6] | bit : row[j >> 6] & ~bit;
-  };
-  const SwitchModule& input = inputs_[in_module];
+void ThreeStageNetwork::store_record(std::uint32_t slot,
+                                     const MulticastRequest& request,
+                                     const Route& route) {
+  std::size_t length = 3 + request.outputs.size() + route.branches.size();
   for (const RouteBranch& branch : route.branches) {
-    const std::size_t j = branch.middle;
-    assign_bit(cand_lane_.data() + (in_module * params_.k + branch.link_lane) * row_words_,
-               j, !installed);
-    assign_bit(cand_any_.data() + in_module * row_words_, j,
-               !installed || input.out_word(j) != input.out_lane_mask());
-    const SwitchModule& middle = middles_[j];
+    length += 1 + branch.legs.size();
+    for (const DeliveryLeg& leg : branch.legs) length += 1 + leg.destinations.size();
+  }
+  // Take a free block of the record's size class, else carve one off the
+  // arena's end.
+  const std::size_t c = block_class(length);
+  if (c >= free_blocks_.size()) free_blocks_.resize(c + 1, kNoSlot);
+  std::uint32_t offset = free_blocks_[c];
+  if (offset != kNoSlot) {
+    free_blocks_[c] = records_[offset];
+  } else {
+    if (records_.size() + block_words(c) >= kNoSlot) {
+      throw std::length_error("ThreeStageNetwork: connection record arena full");
+    }
+    offset = static_cast<std::uint32_t>(records_.size());
+    records_.resize(records_.size() + block_words(c));
+  }
+  ConnectionSlot& entry = connection_slots_[slot];
+  entry.offset = offset;
+  entry.length = static_cast<std::uint32_t>(length);
+
+  std::uint32_t* w = records_.data() + offset;
+  *w++ = pack(request.input.port, request.input.lane);
+  *w++ = static_cast<std::uint32_t>(request.outputs.size());
+  for (const auto& out : request.outputs) *w++ = pack(out.port, out.lane);
+  *w++ = static_cast<std::uint32_t>(route.branches.size());
+  for (const RouteBranch& branch : route.branches) {
+    *w++ = pack(branch.middle, branch.link_lane);
+  }
+  for (const RouteBranch& branch : route.branches) {
+    *w++ = static_cast<std::uint32_t>(branch.legs.size());
+    for (const DeliveryLeg& leg : branch.legs) *w++ = pack(leg.out_module, leg.link_lane);
     for (const DeliveryLeg& leg : branch.legs) {
-      const std::size_t p = leg.out_module;
-      assign_bit(serve_lane_.data() + (p * params_.k + leg.link_lane) * row_words_, j,
-                 !installed);
-      assign_bit(serve_any_.data() + p * row_words_, j,
-                 !installed || middle.out_word(p) != middle.out_lane_mask());
+      *w++ = static_cast<std::uint32_t>(leg.destinations.size());
+      for (const auto& dest : leg.destinations) {
+        *w++ = pack(local_port(dest.port), dest.lane);
+      }
     }
   }
 }
 
-ConnectionId ThreeStageNetwork::commit_slot(std::uint32_t slot) {
-  ConnectionSlot& entry = connection_slots_[slot];
-  const MulticastRequest& request = entry.entry.first;
-  const Route& route = entry.entry.second;
-  const std::size_t in_module = input_module_of(request.input.port);
-  InstalledTransits& installed = entry.transits;
-  installed.middle_transits.clear();
-  installed.output_transits.clear();
+template <typename Visit>
+void ThreeStageNetwork::for_each_transit(const std::uint32_t* record,
+                                         Visit&& visit) const {
+  // Each transit's outputs are contiguous record words; unpack them into the
+  // scratch.
   std::vector<ModulePortLane>& outs = portlane_scratch_;
-  outs.clear();
-  for (const RouteBranch& branch : route.branches) {
-    outs.push_back({branch.middle, branch.link_lane});
-  }
-  installed.input_transit = inputs_[in_module].add_transit(
-      {local_port(request.input.port), request.input.lane}, outs);
-  for (const RouteBranch& branch : route.branches) {
-    outs.clear();
-    for (const DeliveryLeg& leg : branch.legs) {
-      outs.push_back({leg.out_module, leg.link_lane});
-    }
-    installed.middle_transits.emplace_back(
-        branch.middle,
-        middles_[branch.middle].add_transit({in_module, branch.link_lane}, outs));
-    for (const DeliveryLeg& leg : branch.legs) {
-      outs.clear();
-      for (const auto& dest : leg.destinations) {
-        outs.push_back({local_port(dest.port), dest.lane});
-      }
-      installed.output_transits.emplace_back(
-          leg.out_module,
-          outputs_[leg.out_module].add_transit({branch.middle, leg.link_lane}, outs));
-    }
-  }
-  update_rows(in_module, route, /*installed=*/true);
+  const auto unpack = [&outs](const std::uint32_t* words,
+                              std::uint32_t count) -> const std::vector<ModulePortLane>& {
+    outs.resize(count);
+    for (std::uint32_t i = 0; i < count; ++i) outs[i] = {index_of(words[i]), lane_of(words[i])};
+    return outs;
+  };
+  const std::size_t in_module = input_module_of(index_of(record[0]));
+  walk_record(
+      record,
+      [&](const std::uint32_t* heads, std::uint32_t branches) {
+        visit(Stage::kInput, in_module,
+              ModulePortLane{local_port(index_of(record[0])), lane_of(record[0])},
+              unpack(heads, branches));
+      },
+      [&](std::uint32_t head, const std::uint32_t* legs, std::uint32_t count) {
+        visit(Stage::kMiddle, index_of(head), ModulePortLane{in_module, lane_of(head)},
+              unpack(legs, count));
+      },
+      [&](std::uint32_t head, std::uint32_t leg, const std::uint32_t* destinations,
+          std::uint32_t count) {
+        visit(Stage::kOutput, index_of(leg), ModulePortLane{index_of(head), lane_of(leg)},
+              unpack(destinations, count));
+      });
+}
 
-  // Commit: bump the generation (ids are nonzero because generation >= 1)
-  // and link at the tail of the insertion-order list.
+void ThreeStageNetwork::apply_record(const std::uint32_t* record, bool occupy) {
+  // Row bits follow the module words: a lane just taken clears its per-lane
+  // bit and leaves the any-lane bit set only while the link still has
+  // another free lane; a lane just freed sets both.
+  const auto assign_bit = [](std::uint64_t* row, std::size_t j, bool value) {
+    const std::uint64_t bit = 1ull << (j & 63);
+    row[j >> 6] = value ? row[j >> 6] | bit : row[j >> 6] & ~bit;
+  };
+  for_each_transit(record, [&](Stage stage, std::size_t module,
+                               const ModulePortLane& in,
+                               const std::vector<ModulePortLane>& outs) {
+    std::vector<SwitchModule>& modules =
+        stage == Stage::kInput ? inputs_ : stage == Stage::kMiddle ? middles_ : outputs_;
+    occupy ? modules[module].occupy(in, outs) : modules[module].vacate(in, outs);
+    if (stage == Stage::kMiddle) {  // link in.port -> module, lane in.lane
+      const SwitchModule& input = inputs_[in.port];
+      assign_bit(cand_lane_.data() + (in.port * params_.k + in.lane) * row_words_,
+                 module, !occupy);
+      assign_bit(cand_any_.data() + in.port * row_words_, module,
+                 !occupy || input.out_word(module) != input.out_lane_mask());
+    } else if (stage == Stage::kOutput) {  // link in.port -> module
+      const SwitchModule& middle = middles_[in.port];
+      assign_bit(serve_lane_.data() + (module * params_.k + in.lane) * row_words_,
+                 in.port, !occupy);
+      assign_bit(serve_any_.data() + module * row_words_, in.port,
+                 !occupy || middle.out_word(module) != middle.out_lane_mask());
+    }
+  });
+}
+
+ConnectionId ThreeStageNetwork::commit_slot(std::uint32_t slot,
+                                            std::uint32_t prev_slot) {
+  apply_record(records_.data() + connection_slots_[slot].offset, /*occupy=*/true);
+  // Ids are nonzero because the generation is >= 1 after the bump.
+  ConnectionSlot& entry = connection_slots_[slot];
   ++entry.generation;
-  entry.active = true;
-  entry.prev = tail_;
-  entry.next = kNoSlot;
-  if (tail_ != kNoSlot) {
-    connection_slots_[tail_].next = slot;
-  } else {
-    head_ = slot;
-  }
-  tail_ = slot;
+  link_after(slot, prev_slot);
   ++active_count_;
   return make_id(slot, entry.generation);
 }
@@ -560,30 +559,14 @@ void ThreeStageNetwork::release(ConnectionId id) {
     throw std::out_of_range("ThreeStageNetwork::release: unknown connection id");
   }
   ConnectionSlot& entry = connection_slots_[slot];
-  const auto& [request, route] = entry.entry;
-  const InstalledTransits& installed = entry.transits;
+  apply_record(records_.data() + entry.offset, /*occupy=*/false);
 
-  const std::size_t in_module = input_module_of(request.input.port);
-  inputs_[in_module].remove_transit(installed.input_transit);
-  for (const auto& [module, transit] : installed.middle_transits) {
-    middles_[module].remove_transit(transit);
-  }
-  for (const auto& [module, transit] : installed.output_transits) {
-    outputs_[module].remove_transit(transit);
-  }
-  update_rows(in_module, route, /*installed=*/false);
-
-  if (entry.prev != kNoSlot) {
-    connection_slots_[entry.prev].next = entry.next;
-  } else {
-    head_ = entry.next;
-  }
-  if (entry.next != kNoSlot) {
-    connection_slots_[entry.next].prev = entry.prev;
-  } else {
-    tail_ = entry.prev;
-  }
-  entry.active = false;
+  // The block heads its size class's free list.
+  const std::size_t c = block_class(entry.length);
+  records_[entry.offset] = free_blocks_[c];
+  free_blocks_[c] = entry.offset;
+  entry.length = 0;
+  unlink(slot);
   --active_count_;
   free_connection_slots_.push_back(slot);
 }
@@ -597,7 +580,41 @@ bool ThreeStageNetwork::try_release(ConnectionId id) {
 const ThreeStageNetwork::ConnectionView::Entry* ThreeStageNetwork::find_connection(
     ConnectionId id) const {
   const std::uint32_t slot = slot_of(id);
-  return slot == kNoSlot ? nullptr : &connection_slots_[slot].entry;
+  return slot == kNoSlot ? nullptr : &decode(slot, found_);
+}
+
+const ThreeStageNetwork::ConnectionView::Entry& ThreeStageNetwork::decode(
+    std::uint32_t slot, ConnectionView::Entry& entry) const {
+  const std::uint32_t* record = records_.data() + connection_slots_[slot].offset;
+  const auto endpoint = [](std::uint32_t word) {
+    return WavelengthEndpoint{index_of(word), lane_of(word)};
+  };
+  auto& [request, route] = entry;
+  request.input = endpoint(record[0]);
+  request.outputs.resize(record[1]);
+  for (std::size_t i = 0; i < request.outputs.size(); ++i) {
+    request.outputs[i] = endpoint(record[2 + i]);
+  }
+  decode_pool_.recycle(route);
+  walk_record(
+      record, [](const std::uint32_t*, std::uint32_t) {},
+      [&](std::uint32_t head, const std::uint32_t*, std::uint32_t) {
+        RouteBranch& branch = decode_pool_.add_branch(route);
+        branch.middle = index_of(head);
+        branch.link_lane = lane_of(head);
+      },
+      [&](std::uint32_t, std::uint32_t leg_word, const std::uint32_t* destinations,
+          std::uint32_t count) {
+        DeliveryLeg& leg = decode_pool_.add_leg(route.branches.back());
+        leg.out_module = index_of(leg_word);
+        leg.link_lane = lane_of(leg_word);
+        for (std::uint32_t i = 0; i < count; ++i) {
+          leg.destinations.push_back(
+              {leg.out_module * params_.n + index_of(destinations[i]),
+               lane_of(destinations[i])});
+        }
+      });
+  return entry;
 }
 
 DestinationMultiset ThreeStageNetwork::middle_destination_multiset(
@@ -626,29 +643,46 @@ void ThreeStageNetwork::self_check() const {
   for (const auto& module : middles_) module.self_check();
   for (const auto& module : outputs_) module.self_check();
 
-  // Link mirroring: both endpoint modules of every inter-stage link must
-  // agree lane by lane (an input module's output port IS the middle
-  // module's input port, and likewise for stage 2 -> 3).
-  for (std::size_t i = 0; i < params_.r; ++i) {
-    for (std::size_t j = 0; j < params_.m; ++j) {
-      for (Wavelength lane = 0; lane < params_.k; ++lane) {
-        if (inputs_[i].out_lane_free(j, lane) != middles_[j].in_lane_free(i, lane)) {
-          throw std::logic_error(
-              "ThreeStageNetwork: stage 1-2 link state diverged between its "
-              "endpoint modules");
-        }
+  // Vacate every record's transits from copies of the modules: a lane that
+  // no module holds, or that two records hold, makes vacate() throw, and a
+  // lane still held afterwards belongs to no record. The output endpoints'
+  // words are rebuilt from the records' request outputs.
+  std::vector<SwitchModule> copies[] = {inputs_, middles_, outputs_};
+  std::vector<std::uint64_t> endpoints(port_count(), 0);
+  std::size_t walked = 0;
+  for (std::uint32_t slot = head_; slot != kNoSlot;
+       slot = connection_slots_[slot].next) {
+    ++walked;
+    const std::uint32_t* record = records_.data() + connection_slots_[slot].offset;
+    for (std::uint32_t d = 0; d < record[1]; ++d) {
+      endpoints[index_of(record[2 + d])] |= 1ull << lane_of(record[2 + d]);
+    }
+    for_each_transit(record, [&](Stage stage, std::size_t module,
+                                 const ModulePortLane& in,
+                                 const std::vector<ModulePortLane>& outs) {
+      copies[static_cast<int>(stage)][module].vacate(in, outs);
+    });
+  }
+  if (walked != active_count_) {
+    throw std::logic_error(
+        "ThreeStageNetwork: connection list length diverged from active count");
+  }
+  for (const auto& stage : copies) {
+    for (const SwitchModule& module : stage) {
+      bool idle = module.busy_out_lanes() == 0;
+      for (std::size_t port = 0; port < module.in_ports(); ++port) {
+        idle = idle && module.in_word(port) == 0;
+      }
+      if (!idle) {
+        throw std::logic_error("ThreeStageNetwork: " + module.name() +
+                               " holds lanes no connection record names");
       }
     }
   }
-  for (std::size_t j = 0; j < params_.m; ++j) {
-    for (std::size_t p = 0; p < params_.r; ++p) {
-      for (Wavelength lane = 0; lane < params_.k; ++lane) {
-        if (middles_[j].out_lane_free(p, lane) != outputs_[p].in_lane_free(j, lane)) {
-          throw std::logic_error(
-              "ThreeStageNetwork: stage 2-3 link state diverged between its "
-              "endpoint modules");
-        }
-      }
+  for (std::size_t port = 0; port < port_count(); ++port) {
+    if (endpoints[port] != output_lanes_busy(port)) {
+      throw std::logic_error(
+          "ThreeStageNetwork: endpoint words diverged from connection table");
     }
   }
 
@@ -687,33 +721,6 @@ void ThreeStageNetwork::self_check() const {
       check_row(serve_row(p, lane),
                 [&](std::size_t j) { return middles_[j].out_lane_free(p, lane); },
                 "serve_lane");
-    }
-  }
-
-  // Rebuild the endpoint words (one per port, bit = lane) from the
-  // connection table and compare with the edge modules; also re-derive the
-  // active count and insertion-list length so slot bookkeeping cannot
-  // silently diverge.
-  std::vector<std::uint64_t> expected_inputs(port_count(), 0);
-  std::vector<std::uint64_t> expected_outputs(port_count(), 0);
-  std::size_t walked = 0;
-  for (const auto& [id, entry] : connections()) {
-    ++walked;
-    const MulticastRequest& request = entry.first;
-    expected_inputs[request.input.port] |= 1ull << request.input.lane;
-    for (const auto& out : request.outputs) {
-      expected_outputs[out.port] |= 1ull << out.lane;
-    }
-  }
-  if (walked != active_count_) {
-    throw std::logic_error(
-        "ThreeStageNetwork: connection list length diverged from active count");
-  }
-  for (std::size_t port = 0; port < port_count(); ++port) {
-    if (expected_inputs[port] != input_lanes_busy(port) ||
-        expected_outputs[port] != output_lanes_busy(port)) {
-      throw std::logic_error(
-          "ThreeStageNetwork: endpoint words diverged from connection table");
     }
   }
 }

@@ -16,25 +16,33 @@
 // can never become physically meaningless; the Router (routing.h) is the
 // component that *finds* routes.
 //
-// Hot-path data layout (see DESIGN.md): endpoint occupancy is the edge
-// modules' per-port lane words (first-stage inbound, third-stage outbound)
-// and the connection/transit tables are generation-checked free-list slots
-// threaded on an insertion-order list, so install()/release() are O(route
-// size) with zero steady-state heap allocations, and iteration over
-// connections() preserves the old map's ascending-id (i.e. insertion) order.
-// Like install/release themselves, the const validation queries reuse
-// per-network scratch buffers, so a network must not be shared across
-// threads without external synchronization (workloads that parallelize,
-// e.g. sim/sweep, use one network per task; src/engine shards sessions
-// across replicas, one mutex per network).
+// Hot-path data layout (DESIGN.md §3.6b): occupancy lives only in the
+// modules' per-port lane words, and each connection is stored once, as one
+// record of 32-bit words in a per-network arena (see records_),
+//
+//   input | F | outputs[F] | B | heads[B] | per branch: L | legs[L] |
+//   per leg: D | destinations[D]
+//
+// whose words pack index << 6 | lane: `input` and `outputs` are the
+// request's endpoints in request order, a head is (middle, link lane), a leg
+// (output module, link lane) and a destination (port local to the leg's
+// output module, lane), so each transit's outputs are module-local. The
+// decoded entries find_connection, ConnectionView::at and the view iterator
+// hand out are network scratch, valid until the next decode of the same
+// kind (at/find share one, iteration another) or the next mutation. A
+// network must not be shared across threads without external
+// synchronization (src/engine gives each shard exclusive access).
 //
 // Thread-safety contract, per method class:
-//   * install/release/try_release and check_route mutate network state or
-//     the mutable validation scratch -- exclusive access required.
-//   * check_admissible, the *_busy queries, find_connection, connections(),
-//     and the topology getters read only committed state (edge-module port
-//     words + slot table, no scratch), so concurrent readers are safe with
-//     each other -- though still not with a concurrent writer.
+//   * install/reinstall/release/try_release, check_route, find_connection,
+//     ConnectionView::at and view iteration write network state or mutable
+//     scratch -- exclusive access required.
+//   * check_admissible, the *_busy queries, ConnectionView::contains/size,
+//     predecessor_of, for_each_link_lane and the topology getters read only
+//     committed state (module words, slot headers, records), so concurrent
+//     readers are safe with each other -- though still not with a
+//     concurrent writer. Lock-free session lookups go through the engine's
+//     SessionGenTable (obs/session_table.h), never through the network.
 #pragma once
 
 #include <cstdint>
@@ -82,12 +90,31 @@ struct Route {
   friend bool operator==(const Route&, const Route&) = default;
 };
 
+/// Spare branches and legs whose nested vectors keep their capacity, so the
+/// Router's scratch route and the network's decoded entries are rebuilt in
+/// place, allocating nothing once warm: recycle() parks all of a route,
+/// add_branch()/add_leg() append an empty one, drop_last_branch() parks a
+/// branch that got no legs.
+class RoutePool {
+ public:
+  void recycle(Route& route);
+  RouteBranch& add_branch(Route& route);
+  DeliveryLeg& add_leg(RouteBranch& branch);
+  void drop_last_branch(Route& route);
+
+ private:
+  std::vector<RouteBranch> branches_;
+  std::vector<DeliveryLeg> legs_;
+};
+
 class ThreeStageNetwork {
  public:
   /// Read-only view over the active connections, map-compatible: iterates
   /// (id, (request, route)) pairs in insertion order -- which is ascending
   /// creation order, exactly what the former std::map produced -- and
   /// supports at()/contains() in O(1) via the slot index embedded in the id.
+  /// Dereferencing an iterator and at() decode a record into an entry the
+  /// network reuses (see the header comment for its lifetime).
   class ConnectionView {
    public:
     using Entry = std::pair<MulticastRequest, Route>;
@@ -200,8 +227,9 @@ class ThreeStageNetwork {
   [[nodiscard]] std::optional<std::string> check_route(
       const MulticastRequest& request, const Route& route) const;
 
-  /// Commit a route. Throws std::logic_error with the check_route reason on
-  /// any inconsistency.
+  /// Commit a route. Throws std::logic_error, changing nothing, when the
+  /// request is malformed or check_route rejects the route -- including a
+  /// busy input or output endpoint, which the edge modules' dry runs catch.
   ConnectionId install(const MulticastRequest& request, const Route& route);
 
   /// Commit a route into the slot a released id names, reviving that EXACT
@@ -245,9 +273,11 @@ class ThreeStageNetwork {
   /// occupant of a reused slot are untouched either way.
   bool try_release(ConnectionId id);
 
-  /// O(1) lookup of an active connection's (request, route); nullptr for
-  /// stale ids. Reads only committed state (no validation scratch), so it is
-  /// safe alongside other concurrent readers.
+  /// Lookup of an active connection's (request, route), decoded from its
+  /// record in O(route size); nullptr for stale ids. The entry is network
+  /// scratch, valid until the next find_connection/at or mutation (copy it
+  /// to keep it), so this call needs exclusive access. A liveness test is
+  /// connections().contains(id), which decodes nothing.
   [[nodiscard]] const ConnectionView::Entry* find_connection(ConnectionId id) const;
 
   /// The id encoding, exposed for layers that mirror the slot table without
@@ -262,16 +292,27 @@ class ThreeStageNetwork {
     return static_cast<std::uint32_t>(id >> 32);
   }
 
-  /// Shared route-storage pools (emptied branches/legs whose nested vectors
-  /// keep their capacity). The slot copy machinery (copy_route_into) and the
-  /// Router's scratch recycling draw from the SAME pools, so one economy
-  /// keeps the total object population monotone and the churn loop
-  /// allocation-free once warm.
-  [[nodiscard]] std::vector<RouteBranch>& branch_pool() {
-    return spare_route_branches_;
-  }
-  [[nodiscard]] std::vector<DeliveryLeg>& leg_pool() {
-    return spare_route_legs_;
+  /// Visit every active connection's inter-stage link lanes, in view order,
+  /// straight from its record (no decode, no scratch, so concurrent readers
+  /// are safe): visit(id, stage12, from, to, lane) per branch for its
+  /// input-module -> middle lane (stage12 = true) and per leg for its
+  /// middle -> output-module lane (stage12 = false).
+  template <typename Visit>
+  void for_each_link_lane(Visit&& visit) const {
+    for (std::uint32_t slot = head_; slot != kNoSlot;
+         slot = connection_slots_[slot].next) {
+      const ConnectionId id = make_id(slot, connection_slots_[slot].generation);
+      const std::uint32_t* record = records_.data() + connection_slots_[slot].offset;
+      const std::size_t in_module = input_module_of(index_of(record[0]));
+      walk_record(
+          record, [](const std::uint32_t*, std::uint32_t) {},
+          [&](std::uint32_t head, const std::uint32_t*, std::uint32_t) {
+            visit(id, true, in_module, index_of(head), lane_of(head));
+          },
+          [&](std::uint32_t head, std::uint32_t leg, const std::uint32_t*, std::uint32_t) {
+            visit(id, false, index_of(head), index_of(leg), lane_of(leg));
+          });
+    }
   }
 
   /// One port's k lanes (bit = lane, 1 = busy): the word its first-stage
@@ -304,34 +345,27 @@ class ThreeStageNetwork {
   [[nodiscard]] std::vector<bool> middle_plane_destinations(std::size_t j,
                                                             Wavelength lane) const;
 
-  /// Deep consistency check: every module self-checks, the edge modules'
-  /// endpoint words (first-stage inbound, third-stage outbound) match a
-  /// rebuild from the connection table, and all four middle-stage row
-  /// families match a re-derivation from the module occupancy words. Throws
-  /// std::logic_error on failure.
+  /// Deep consistency check: vacating every connection record from copies of
+  /// the modules succeeds and leaves them idle (no lane held twice, none
+  /// held without a record), every busy-lane count matches its words, the
+  /// output endpoint words match the records' request outputs, and all four
+  /// middle-stage row families match a re-derivation from the module
+  /// occupancy words. Throws std::logic_error on failure.
   void self_check() const;
 
  private:
   friend class ConnectionView;
 
-  struct InstalledTransits {
-    SwitchModule::TransitId input_transit = 0;
-    std::vector<std::pair<std::size_t, SwitchModule::TransitId>> middle_transits;
-    std::vector<std::pair<std::size_t, SwitchModule::TransitId>> output_transits;
-  };
-
-  /// One connection of the slot-reuse table. `entry`'s request/route vectors
-  /// and the transit lists keep their capacity across slot reuse;
-  /// `generation` is embedded in the public ConnectionId so stale ids are
-  /// rejected in O(1); prev/next thread the insertion-order list behind
-  /// ConnectionView.
+  /// One connection of the slot-reuse table: a header pointing at the
+  /// connection's record in records_. `generation` is embedded in the public
+  /// ConnectionId so stale ids are rejected in O(1); prev/next thread the
+  /// insertion-order list behind ConnectionView.
   struct ConnectionSlot {
-    ConnectionView::Entry entry;
-    InstalledTransits transits;
     std::uint32_t generation = 0;
     std::uint32_t prev = kNoSlot;
     std::uint32_t next = kNoSlot;
-    bool active = false;
+    std::uint32_t offset = 0;  // first record word in records_
+    std::uint32_t length = 0;  // record words; 0 = the slot is free
   };
 
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -342,27 +376,69 @@ class ThreeStageNetwork {
   /// Slot index of an id if it names an active connection, else kNoSlot.
   [[nodiscard]] std::uint32_t slot_of(ConnectionId id) const;
 
+  /// Throw std::logic_error, prefixed with `caller`, unless the request is
+  /// well-formed and check_route accepts the route.
+  void validate_or_throw(const char* caller, const MulticastRequest& request,
+                         const Route& route) const;
   /// Pop a free connection slot (or grow the table by one).
   [[nodiscard]] std::uint32_t acquire_slot();
-  /// Shared tail of install() and reinstall(): install the transits of the
-  /// (validated) route already stored in `slot` and update the middle-stage
-  /// rows.
-  ConnectionId commit_slot(std::uint32_t slot);
-  /// Bring the row bits a route touches up to date after its lanes were
-  /// taken (`installed`) or freed: each branch's candidate bits and each
-  /// leg's serve bits. O(route size).
-  void update_rows(std::size_t in_module, const Route& route, bool installed);
-  /// Unlink `slot` from the insertion-order list and re-link it directly
-  /// after `prev_slot` (kNoSlot = new head). Occupancy is untouched; this
-  /// is the reinstall(..., after) splice.
-  void move_slot_after(std::uint32_t slot, std::uint32_t prev_slot);
+  /// Serialize a validated (request, route) into an arena block for `slot`.
+  void store_record(std::uint32_t slot, const MulticastRequest& request,
+                    const Route& route);
+  /// Shared tail of install() and reinstall(): occupy the lanes of the
+  /// record stored in `slot` and link it into the view after `prev_slot`
+  /// (kNoSlot = the head).
+  ConnectionId commit_slot(std::uint32_t slot, std::uint32_t prev_slot);
 
-  /// Structural copy of `src` into a slot's stored route that conserves
-  /// nested-vector capacity: shrinking hands surplus branches/legs to the
-  /// spare pools instead of destroying them, growing pulls them back. Plain
-  /// vector copy-assign would free the nested buffers on every shrink, so a
-  /// slot alternating between route shapes would re-allocate forever.
-  void copy_route_into(Route& dst, const Route& src);
+  // Record words pack index << 6 | lane (k <= 64; see the header comment).
+  static std::uint32_t pack(std::size_t index, Wavelength lane) {
+    return static_cast<std::uint32_t>(index << 6 | lane);
+  }
+  static std::size_t index_of(std::uint32_t word) { return word >> 6; }
+  static Wavelength lane_of(std::uint32_t word) { return word & 63u; }
+
+  /// Parse one record in layout order: on_input(heads, B), then per branch
+  /// on_branch(head, legs, L) followed by on_leg(head, leg, destinations, D)
+  /// for each of its legs.
+  template <typename OnInput, typename OnBranch, typename OnLeg>
+  static void walk_record(const std::uint32_t* record, OnInput&& on_input,
+                          OnBranch&& on_branch, OnLeg&& on_leg) {
+    const std::uint32_t* p = record + 2 + record[1];
+    const std::uint32_t branches = *p++;
+    const std::uint32_t* heads = p;
+    on_input(heads, branches);
+    p += branches;
+    for (std::uint32_t b = 0; b < branches; ++b) {
+      const std::uint32_t legs = *p++;
+      const std::uint32_t* leg = p;
+      on_branch(heads[b], leg, legs);
+      p += legs;
+      for (std::uint32_t l = 0; l < legs; ++l) {
+        const std::uint32_t destinations = *p++;
+        on_leg(heads[b], leg[l], p, destinations);
+        p += destinations;
+      }
+    }
+  }
+
+  /// Which module column a transit passes (indexes the stage arrays).
+  enum class Stage { kInput = 0, kMiddle = 1, kOutput = 2 };
+  /// Visit a record's transits in layout order -- the input transit, then
+  /// per branch its middle transit followed by its legs' output transits --
+  /// as visit(stage, module, inbound, outbound) with module-local ports;
+  /// `outbound` is portlane_scratch_.
+  template <typename Visit>
+  void for_each_transit(const std::uint32_t* record, Visit&& visit) const;
+  /// Occupy (or vacate) every transit of a record and bring the
+  /// middle-stage row bits they touch up to date. O(route size).
+  void apply_record(const std::uint32_t* record, bool occupy);
+  /// Decode the record of an active slot into `entry`.
+  const ConnectionView::Entry& decode(std::uint32_t slot,
+                                      ConnectionView::Entry& entry) const;
+  /// Insertion-order list surgery: take `slot` out, or put it directly
+  /// after `prev_slot` (kNoSlot = the head).
+  void unlink(std::uint32_t slot);
+  void link_after(std::uint32_t slot, std::uint32_t prev_slot);
 
   ClosParams params_;
   Construction construction_;
@@ -376,17 +452,23 @@ class ThreeStageNetwork {
 
   std::vector<ConnectionSlot> connection_slots_;
   std::vector<std::uint32_t> free_connection_slots_;
-  // Branch/leg pools behind copy_route_into AND the Router's scratch
-  // recycling (see branch_pool()/leg_pool()). Pooled objects hold emptied
-  // but capacity-bearing nested vectors; since buffers are pooled rather
-  // than freed, every buffer's capacity grows monotonically toward the
-  // workload maximum and steady-state install() performs no heap
-  // allocations.
-  std::vector<RouteBranch> spare_route_branches_;
-  std::vector<DeliveryLeg> spare_route_legs_;
   std::uint32_t head_ = kNoSlot;  // oldest active connection
   std::uint32_t tail_ = kNoSlot;  // newest active connection
   std::size_t active_count_ = 0;
+
+  // Record arena (layout in the header comment). Blocks come in size classes
+  // of 4, 6, 8, 12, 16, 24, ... words; free_blocks_[c] heads class c's free
+  // list, threaded through each free block's first word (kNoSlot ends it),
+  // and the next record of that class reuses the block, so steady-state
+  // install/release allocate nothing.
+  std::vector<std::uint32_t> records_;
+  std::vector<std::uint32_t> free_blocks_;
+
+  // Decoded entries handed out by find_connection/at and by the view's
+  // iterator, and the pool that rebuilds their routes in place.
+  mutable ConnectionView::Entry found_;
+  mutable ConnectionView::Entry walked_;
+  mutable RoutePool decode_pool_;
 
   // Middle-stage occupancy rows, row_words_ words each (see candidate_row /
   // serve_row). Exact after every install/reinstall/release; they hold
@@ -397,10 +479,10 @@ class ThreeStageNetwork {
   std::vector<std::uint64_t> serve_lane_;  // (p * k + lane) * row_words_
   std::vector<std::uint64_t> serve_any_;   // p * row_words_
 
-  // Reusable scratch for check_route/install (capacity survives calls, so
-  // steady-state validation is allocation-free). The stamp arrays implement
-  // "was this seen during generation g" sets without clearing: a cell is set
-  // iff it equals the current generation counter.
+  // Reusable scratch for check_route and the record walks (capacity
+  // survives calls, so steady-state validation is allocation-free). The
+  // stamp arrays implement "was this seen during generation g" sets without
+  // clearing: a cell is set iff it equals the current generation counter.
   mutable std::vector<ModulePortLane> portlane_scratch_;
   mutable std::vector<WavelengthEndpoint> routed_scratch_;  // route's destinations
   mutable std::vector<std::uint64_t> middle_stamp_;  // per middle module

@@ -101,24 +101,8 @@ std::optional<Route> Router::find_route(const MulticastRequest& request) const {
   return *route;  // copy out of the scratch
 }
 
-void Router::recycle_route() const {
-  // Recycle into the network's shared pools -- the same economy the slot
-  // copy machinery uses.
-  std::vector<RouteBranch>& branch_pool = network_->branch_pool();
-  std::vector<DeliveryLeg>& leg_pool = network_->leg_pool();
-  for (RouteBranch& branch : route_.branches) {
-    for (DeliveryLeg& leg : branch.legs) {
-      leg.destinations.clear();
-      leg_pool.push_back(std::move(leg));
-    }
-    branch.legs.clear();
-    branch_pool.push_back(std::move(branch));
-  }
-  route_.branches.clear();
-}
-
 const Route* Router::find_route_impl(const MulticastRequest& request) const {
-  recycle_route();
+  route_pool_.recycle(route_);
   if (!build_demands(request)) return nullptr;  // unsatisfiable demand
   if (!gather_rows(network_->input_module_of(request.input.port),
                    request.input.lane)) {
@@ -421,19 +405,11 @@ const Route* Router::cover_and_materialize(const MulticastRequest& request) cons
   // --- materialize the route: assign each target to its covering branch ---
   // Re-derive the assignment: walk chosen in order, give each chosen middle
   // the targets it serves that are still unassigned. Branches and legs come
-  // from the spare pools so their nested vectors keep their capacity.
+  // from the route pool so their nested vectors keep their capacity.
   assigned_.assign(serve_words, 0);
   const SwitchModule& input = network_->input_module(in_module);
-  std::vector<RouteBranch>& branch_pool = network_->branch_pool();
-  std::vector<DeliveryLeg>& leg_pool = network_->leg_pool();
   for (const std::size_t j : chosen_) {
-    if (!branch_pool.empty()) {
-      route_.branches.push_back(std::move(branch_pool.back()));
-      branch_pool.pop_back();
-    } else {
-      route_.branches.emplace_back();
-    }
-    RouteBranch& branch = route_.branches.back();
+    RouteBranch& branch = route_pool_.add_branch(route_);
     branch.middle = j;
     const SwitchModule& middle = network_->middle_module(j);
     for (std::size_t t = 0; t < n_targets; ++t) {
@@ -443,13 +419,7 @@ const Route* Router::cover_and_materialize(const MulticastRequest& request) cons
       set_bit(assigned_, t);
       const std::size_t module = targets_[t];
       const ModuleDemand& demand = demands_[module];
-      if (!leg_pool.empty()) {
-        branch.legs.push_back(std::move(leg_pool.back()));
-        leg_pool.pop_back();
-      } else {
-        branch.legs.emplace_back();
-      }
-      DeliveryLeg& leg = branch.legs.back();
+      DeliveryLeg& leg = route_pool_.add_leg(branch);
       leg.out_module = module;
       if (demand.required_link_lane != kNoWavelength) {
         leg.link_lane = demand.required_link_lane;
@@ -473,8 +443,7 @@ const Route* Router::cover_and_materialize(const MulticastRequest& request) cons
     }
     if (branch.legs.empty()) {
       // Greedy may over-pick; drop the idle branch back into the pool.
-      branch_pool.push_back(std::move(route_.branches.back()));
-      route_.branches.pop_back();
+      route_pool_.drop_last_branch(route_);
       continue;
     }
     if (network_->construction() == Construction::kMswDominant) {

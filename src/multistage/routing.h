@@ -28,9 +28,9 @@
 // individual middle modules. The search then runs entirely on per-router
 // scratch buffers -- demands in a flat array indexed by output module (with
 // stamp-based reset), the serves relation and cover state as 64-bit word
-// masks, and the result route in a pooled scratch Route whose nested vectors
-// keep their capacity -- so steady-state find_route + try_connect performs
-// zero heap allocations. The scratch makes a Router single-threaded by
+// masks, and the result route in a scratch Route rebuilt through the
+// router's own RoutePool, whose branches and legs keep their capacity -- so
+// steady-state find_route + try_connect performs zero heap allocations. The scratch makes a Router single-threaded by
 // construction (as it already was via its network).
 #pragma once
 
@@ -135,10 +135,6 @@ class Router {
                                       std::size_t out_port, LinkStage stage,
                                       std::size_t from_module) const;
 
-  /// Move the previous scratch route's branches/legs back into the pools so
-  /// their nested vectors' capacity is reused by the next request.
-  void recycle_route() const;
-
   ThreeStageNetwork* network_;
   RoutingPolicy policy_;
   ConnectError last_error_ = ConnectError::kBlocked;
@@ -172,9 +168,9 @@ class Router {
   // which depends only on the comparator's gain values).
   mutable std::vector<std::uint64_t> newly_stack_;
   mutable std::vector<std::vector<std::uint16_t>> options_stack_;
-  // Scratch result route. Emptied branches/legs are recycled through the
-  // network's shared pools (branch_pool()/leg_pool()).
+  // Scratch result route, rebuilt in place for every request.
   mutable Route route_;
+  mutable RoutePool route_pool_;
 
   // Spread expansions of the in-flight search, flushed to the registry by
   // find_route_instrumented so the search loop touches no atomics.

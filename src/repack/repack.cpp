@@ -44,9 +44,10 @@ void RepackExecutor::begin() {
 bool RepackExecutor::release(ConnectionId id) {
   const auto* entry = router_->network().find_connection(id);
   if (entry == nullptr) return false;
-  // Copy request + route BEFORE the release: the slot entry survives the
-  // release only until its slot is reused, and rollback needs the original
-  // route long after this transaction has installed other connections.
+  // Copy request + route BEFORE the release: the entry is the network's
+  // decode scratch, overwritten by the next lookup, and rollback needs the
+  // original route long after this transaction has installed other
+  // connections.
   Victim victim;
   victim.old_id = id;
   victim.request = entry->first;
@@ -143,26 +144,22 @@ void RepackPlanner::refresh() {
   const ClosParams& params = network_->params();
   owner12_.assign(owner12_.size(), kNoOwner);
   owner23_.assign(owner23_.size(), kNoOwner);
-  for (const auto& [id, entry] : network_->connections()) {
-    const auto& [request, route] = entry;
-    const std::size_t in_module = network_->input_module_of(request.input.port);
-    for (const RouteBranch& branch : route.branches) {
-      owner12_[(in_module * params.m + branch.middle) * params.k +
-               branch.link_lane] = id;
-      for (const DeliveryLeg& leg : branch.legs) {
-        owner23_[(branch.middle * params.r + leg.out_module) * params.k +
-                 leg.link_lane] = id;
-      }
+  network_->for_each_link_lane([&](ConnectionId id, bool stage12, std::size_t from,
+                                   std::size_t to, Wavelength lane) {
+    if (stage12) {
+      owner12_[(from * params.m + to) * params.k + lane] = id;
+    } else {
+      owner23_[(from * params.r + to) * params.k + lane] = id;
     }
-  }
+  });
 }
 
 bool RepackPlanner::viable(ConnectionId owner, const RepackExecutor& txn) const {
-  // Live (releases make index entries stale; find_connection's generation
+  // Live (releases make index entries stale; the view's O(1) generation
   // check filters them) and not a session this transaction already placed
   // (re-breaking one would livelock the chain).
   return owner != kNoOwner && !txn.did_admit(owner) &&
-         network_->find_connection(owner) != nullptr;
+         network_->connections().contains(owner);
 }
 
 std::optional<ConnectionId> RepackPlanner::propose(

@@ -163,7 +163,14 @@ TEST(Fuzz, FabricStateUntouchedByFailedOperations) {
 TEST(Fuzz, ModuleTransitsRejectThenAcceptIdempotently) {
   Rng rng(0xCAFE);
   SwitchModule module(4, 5, 2, MulticastModel::kMSDW, "fuzz");
-  std::vector<SwitchModule::TransitId> live;
+  std::vector<std::pair<ModulePortLane, std::vector<ModulePortLane>>> live;
+  const auto words = [&module] {
+    std::vector<std::uint64_t> all;
+    for (std::size_t p = 0; p < module.in_ports(); ++p) all.push_back(module.in_word(p));
+    for (std::size_t p = 0; p < module.out_ports(); ++p) all.push_back(module.out_word(p));
+    all.push_back(module.busy_out_lanes());
+    return all;
+  };
   for (int step = 0; step < 500; ++step) {
     const ModulePortLane in{rng.next_below(4),
                             static_cast<Wavelength>(rng.next_below(2))};
@@ -175,16 +182,22 @@ TEST(Fuzz, ModuleTransitsRejectThenAcceptIdempotently) {
     if (outs.empty()) continue;
     const auto reason = module.check_transit(in, outs);
     if (reason) {
-      // check_transit rejected: add_transit must throw and not mutate.
-      const std::size_t before = module.active_transits();
-      EXPECT_THROW(module.add_transit(in, outs), std::logic_error);
-      EXPECT_EQ(module.active_transits(), before);
+      // check_transit rejected: occupy must throw and not mutate.
+      const auto before = words();
+      EXPECT_THROW(module.occupy(in, outs), std::logic_error);
+      EXPECT_EQ(words(), before);
     } else {
-      live.push_back(module.add_transit(in, outs));
+      module.occupy(in, outs);
+      live.emplace_back(in, outs);
     }
     if (!live.empty() && rng.next_bool(0.3)) {
       const std::size_t victim = rng.next_below(live.size());
-      module.remove_transit(live[victim]);
+      module.vacate(live[victim].first, live[victim].second);
+      // The lanes are free now: a second vacate must throw and not mutate.
+      const auto before = words();
+      EXPECT_THROW(module.vacate(live[victim].first, live[victim].second),
+                   std::logic_error);
+      EXPECT_EQ(words(), before);
       live[victim] = live.back();
       live.pop_back();
     }

@@ -50,14 +50,19 @@ TEST(SwitchModule, RejectsTwoLanesOnOneOutPort) {
 
 TEST(SwitchModule, OccupancyConflicts) {
   SwitchModule module(2, 2, 2, MulticastModel::kMAW);
-  module.add_transit({0, 0}, {{1, 0}});
+  module.occupy({0, 0}, {{1, 0}});
   // Inbound wavelength reuse.
   EXPECT_TRUE(module.check_transit({0, 0}, {{0, 0}}).has_value());
   // Outbound wavelength reuse.
   EXPECT_TRUE(module.check_transit({1, 0}, {{1, 0}}).has_value());
   // Same out port, other lane: fine.
   EXPECT_EQ(module.check_transit({1, 0}, {{1, 1}}), std::nullopt);
-  EXPECT_THROW(module.add_transit({0, 0}, {{0, 0}}), std::logic_error);
+  EXPECT_THROW(module.occupy({0, 0}, {{0, 0}}), std::logic_error);
+  EXPECT_THROW(module.occupy({1, 0}, {{1, 0}}), std::logic_error);
+  // A rejected occupy changes nothing.
+  EXPECT_TRUE(module.in_lane_free(1, 0));
+  EXPECT_TRUE(module.out_lane_free(0, 0));
+  EXPECT_EQ(module.busy_out_lanes(), 1u);
 }
 
 TEST(SwitchModule, RangeChecksInCheckTransit) {
@@ -73,26 +78,29 @@ TEST(SwitchModule, FreeLaneQueries) {
   SwitchModule module(1, 2, 3, MulticastModel::kMAW);
   EXPECT_EQ(module.free_out_lanes(0), 3u);
   EXPECT_EQ(module.lowest_free_out_lane(0), 0u);
-  module.add_transit({0, 0}, {{0, 0}});
+  module.occupy({0, 0}, {{0, 0}});
   EXPECT_EQ(module.free_out_lanes(0), 2u);
   EXPECT_EQ(module.lowest_free_out_lane(0), 1u);
   EXPECT_EQ(module.free_in_lanes(0), 2u);
-  module.add_transit({0, 1}, {{0, 1}});
-  module.add_transit({0, 2}, {{0, 2}});
+  module.occupy({0, 1}, {{0, 1}});
+  module.occupy({0, 2}, {{0, 2}});
   EXPECT_EQ(module.free_out_lanes(0), 0u);
   EXPECT_EQ(module.lowest_free_out_lane(0), std::nullopt);
   EXPECT_EQ(module.free_out_lanes(1), 3u);
 }
 
-TEST(SwitchModule, RemoveTransitRestoresState) {
+TEST(SwitchModule, VacateRestoresState) {
   SwitchModule module(2, 2, 2, MulticastModel::kMSW);
-  const auto id = module.add_transit({1, 1}, {{0, 1}, {1, 1}});
+  module.occupy({1, 1}, {{0, 1}, {1, 1}});
   EXPECT_FALSE(module.out_lane_free(0, 1));
   EXPECT_FALSE(module.in_lane_free(1, 1));
-  module.remove_transit(id);
+  EXPECT_EQ(module.busy_out_lanes(), 2u);
+  module.vacate({1, 1}, {{0, 1}, {1, 1}});
   EXPECT_TRUE(module.out_lane_free(0, 1));
   EXPECT_TRUE(module.in_lane_free(1, 1));
-  EXPECT_THROW(module.remove_transit(id), std::out_of_range);
+  EXPECT_EQ(module.busy_out_lanes(), 0u);
+  // The lanes are free now: vacating them again is a caller bug.
+  EXPECT_THROW(module.vacate({1, 1}, {{0, 1}, {1, 1}}), std::logic_error);
   module.self_check();
 }
 
@@ -107,34 +115,44 @@ TEST(SwitchModule, SixtyFourLaneBoundary) {
   // k = 64 exercises the all-ones lane mask (1 << 64 would be UB).
   SwitchModule module(1, 1, SwitchModule::kMaxLanes, MulticastModel::kMAW);
   EXPECT_EQ(module.free_out_lanes(0), 64u);
-  std::vector<SwitchModule::TransitId> ids;
   for (Wavelength lane = 0; lane < 64; ++lane) {
     EXPECT_EQ(module.lowest_free_out_lane(0), lane);
-    ids.push_back(module.add_transit({0, lane}, {{0, lane}}));
+    module.occupy({0, lane}, {{0, lane}});
     EXPECT_EQ(module.free_out_lanes(0), 63u - lane);
   }
   EXPECT_EQ(module.lowest_free_out_lane(0), std::nullopt);
   EXPECT_EQ(module.free_in_lanes(0), 0u);
   module.self_check();
-  module.remove_transit(ids[63]);
+  module.vacate({0, 63}, {{0, 63}});
   EXPECT_EQ(module.lowest_free_out_lane(0), 63u);
-  for (std::size_t i = 0; i < 63; ++i) module.remove_transit(ids[i]);
+  for (Wavelength lane = 0; lane < 63; ++lane) module.vacate({0, lane}, {{0, lane}});
   EXPECT_EQ(module.free_out_lanes(0), 64u);
   module.self_check();
 }
 
-TEST(SwitchModule, SlotReuseAfterRemoveTransit) {
+// vacate() is all-or-nothing: a lane that is free, out of range or named
+// twice rejects the whole call and leaves every word alone.
+TEST(SwitchModule, VacateRejectsLanesNotHeld) {
   SwitchModule module(2, 2, 2, MulticastModel::kMAW);
-  const auto first = module.add_transit({0, 0}, {{0, 0}});
-  module.remove_transit(first);
-  // The freed slot is reused under a new generation: the old id must stay
-  // dead even though its slot is live again.
-  const auto second = module.add_transit({1, 1}, {{1, 1}});
-  EXPECT_NE(first, second);
-  EXPECT_THROW(module.remove_transit(first), std::out_of_range);
-  EXPECT_EQ(module.active_transits(), 1u);
-  module.remove_transit(second);
-  EXPECT_EQ(module.active_transits(), 0u);
+  module.occupy({0, 0}, {{0, 0}, {1, 1}});
+  const auto unchanged = [&] {
+    EXPECT_FALSE(module.in_lane_free(0, 0));
+    EXPECT_FALSE(module.out_lane_free(0, 0));
+    EXPECT_FALSE(module.out_lane_free(1, 1));
+    EXPECT_EQ(module.busy_out_lanes(), 2u);
+    module.self_check();
+  };
+  EXPECT_THROW(module.vacate({1, 0}, {{0, 0}}), std::logic_error);  // inbound free
+  unchanged();
+  EXPECT_THROW(module.vacate({0, 0}, {{0, 0}, {1, 0}}), std::logic_error);  // outbound free
+  unchanged();
+  EXPECT_THROW(module.vacate({0, 0}, {{0, 0}, {0, 0}}), std::logic_error);  // lane twice
+  unchanged();
+  EXPECT_THROW(module.vacate({5, 0}, {{0, 0}}), std::logic_error);  // out of range
+  EXPECT_THROW(module.vacate({0, 0}, {{0, 7}}), std::logic_error);
+  unchanged();
+  module.vacate({0, 0}, {{0, 0}, {1, 1}});
+  EXPECT_EQ(module.busy_out_lanes(), 0u);
   module.self_check();
 }
 
@@ -153,7 +171,7 @@ TEST(SwitchModule, BitmaskQueriesMatchNaiveReference) {
   };
   std::vector<std::vector<bool>> in_used(kPorts, std::vector<bool>(kLanes));
   std::vector<std::vector<bool>> out_used(kPorts, std::vector<bool>(kLanes));
-  std::vector<std::pair<SwitchModule::TransitId, NaiveTransit>> live;
+  std::vector<NaiveTransit> live;
 
   const auto check_against_reference = [&] {
     for (std::size_t port = 0; port < kPorts; ++port) {
@@ -173,7 +191,9 @@ TEST(SwitchModule, BitmaskQueriesMatchNaiveReference) {
       EXPECT_EQ(module.free_in_lanes(port), free_in);
       EXPECT_EQ(module.lowest_free_out_lane(port), lowest);
     }
-    EXPECT_EQ(module.active_transits(), live.size());
+    std::size_t busy = 0;
+    for (const NaiveTransit& transit : live) busy += transit.outs.size();
+    EXPECT_EQ(module.busy_out_lanes(), busy);
   };
 
   for (int step = 0; step < 500; ++step) {
@@ -187,15 +207,15 @@ TEST(SwitchModule, BitmaskQueriesMatchNaiveReference) {
                         static_cast<Wavelength>(rng.next_below(kLanes))});
       }
       if (!module.check_transit(in, outs)) {
-        const auto id = module.add_transit(in, outs);
+        module.occupy(in, outs);
         in_used[in.port][in.lane] = true;
         for (const auto& out : outs) out_used[out.port][out.lane] = true;
-        live.emplace_back(id, NaiveTransit{in, outs});
+        live.push_back(NaiveTransit{in, outs});
       }
     } else {
       const std::size_t victim = rng.next_below(live.size());
-      const auto& [id, transit] = live[victim];
-      module.remove_transit(id);
+      const NaiveTransit& transit = live[victim];
+      module.vacate(transit.in, transit.outs);
       in_used[transit.in.port][transit.in.lane] = false;
       for (const auto& out : transit.outs) out_used[out.port][out.lane] = false;
       live[victim] = live.back();
@@ -209,7 +229,7 @@ TEST(SwitchModule, BitmaskQueriesMatchNaiveReference) {
 TEST(SwitchModule, SelfCheckPassesUnderChurn) {
   Rng rng(7);
   SwitchModule module(4, 4, 2, MulticastModel::kMAW);
-  std::vector<SwitchModule::TransitId> live;
+  std::vector<std::pair<ModulePortLane, ModulePortLane>> live;
   for (int step = 0; step < 300; ++step) {
     if (live.empty() || rng.next_bool(0.6)) {
       const ModulePortLane in{rng.next_below(4),
@@ -217,11 +237,12 @@ TEST(SwitchModule, SelfCheckPassesUnderChurn) {
       const ModulePortLane out{rng.next_below(4),
                                static_cast<Wavelength>(rng.next_below(2))};
       if (!module.check_transit(in, {out})) {
-        live.push_back(module.add_transit(in, {out}));
+        module.occupy(in, {out});
+        live.emplace_back(in, out);
       }
     } else {
       const std::size_t victim = rng.next_below(live.size());
-      module.remove_transit(live[victim]);
+      module.vacate(live[victim].first, {live[victim].second});
       live[victim] = live.back();
       live.pop_back();
     }
@@ -229,8 +250,8 @@ TEST(SwitchModule, SelfCheckPassesUnderChurn) {
   }
 }
 
-// busy_out_lanes() is maintained incrementally by add_transit and
-// remove_transit; the engine publishes it instead of popcounting out_words().
+// busy_out_lanes() is maintained incrementally by occupy and vacate; the
+// engine publishes it instead of popcounting out_words().
 // Under random churn obeying each model's lane discipline -- including
 // rejected adds, which must leave the count alone -- it must equal the
 // bitmap's popcount after every step, at k = 64 too.
@@ -253,7 +274,7 @@ TEST_P(BusyOutLanesChurn, CountMatchesBitmapPopcount) {
     return static_cast<Wavelength>(rng.next_below(lanes));
   };
 
-  std::vector<SwitchModule::TransitId> live;
+  std::vector<std::pair<ModulePortLane, std::vector<ModulePortLane>>> live;
   std::size_t added = 0;
   std::size_t rejected = 0;
   for (int step = 0; step < 2000; ++step) {
@@ -272,17 +293,18 @@ TEST_P(BusyOutLanesChurn, CountMatchesBitmapPopcount) {
       if (outs.empty()) outs.push_back({rng.next_below(kPorts), shared});
       const std::size_t before = module.busy_out_lanes();
       if (module.check_transit(in, outs)) {
-        EXPECT_THROW(module.add_transit(in, outs), std::logic_error);
+        EXPECT_THROW(module.occupy(in, outs), std::logic_error);
         EXPECT_EQ(module.busy_out_lanes(), before);
         ++rejected;
       } else {
-        live.push_back(module.add_transit(in, outs));
+        module.occupy(in, outs);
+        live.emplace_back(in, outs);
         EXPECT_EQ(module.busy_out_lanes(), before + outs.size());
         ++added;
       }
     } else {
       const std::size_t victim = rng.next_below(live.size());
-      module.remove_transit(live[victim]);
+      module.vacate(live[victim].first, live[victim].second);
       live[victim] = live.back();
       live.pop_back();
     }
@@ -291,7 +313,7 @@ TEST_P(BusyOutLanesChurn, CountMatchesBitmapPopcount) {
   }
   EXPECT_GT(added, 100u);
   EXPECT_GT(rejected, 0u);
-  for (const auto id : live) module.remove_transit(id);
+  for (const auto& [in, outs] : live) module.vacate(in, outs);
   EXPECT_EQ(module.busy_out_lanes(), 0u);
   module.self_check();
 }

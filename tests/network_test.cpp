@@ -158,6 +158,63 @@ TEST(ThreeStageNetwork, InstallRejectsBusyEndpointOrBadRoute) {
   EXPECT_NO_THROW(network.install(rival, unicast_route(1, 0, 1, 0, {3, 0})));
 }
 
+// install() and reinstall() check only the request's shape and the route;
+// a busy endpoint is caught by the edge modules' dry runs inside check_route.
+// Either way the call must throw and leave every word, id and count alone.
+TEST(ThreeStageNetwork, InstallOverBusyEndpointLeavesStateUnchanged) {
+  ThreeStageNetwork network({2, 2, 3, 2}, Construction::kMawDominant,
+                            MulticastModel::kMAW);
+  const auto snapshot = [&network] {
+    std::vector<std::uint64_t> words;
+    for (std::size_t p = 0; p < network.port_count(); ++p) {
+      words.push_back(network.input_lanes_busy(p));
+      words.push_back(network.output_lanes_busy(p));
+    }
+    for (std::size_t j = 0; j < network.params().m; ++j) {
+      for (std::size_t p = 0; p < network.params().r; ++p) {
+        words.push_back(network.middle_module(j).out_word(p));
+        words.push_back(network.input_module(p).out_word(j));
+      }
+    }
+    for (const auto& [id, entry] : network.connections()) words.push_back(id);
+    words.push_back(network.active_connections());
+    return words;
+  };
+  const ConnectionId held =
+      network.install({{0, 0}, {{2, 1}}}, unicast_route(0, 0, 1, 1, {2, 1}));
+  const ConnectionId spare =
+      network.install({{1, 1}, {{0, 0}}}, unicast_route(1, 1, 0, 0, {0, 0}));
+  network.release(spare);
+  const auto before = snapshot();
+
+  // Busy input (0, λ0), routed over an idle middle and idle link lanes.
+  const MulticastRequest busy_input{{0, 0}, {{3, 0}}};
+  ASSERT_EQ(network.check_admissible(busy_input), ConnectError::kInputBusy);
+  EXPECT_THROW(network.install(busy_input, unicast_route(2, 1, 1, 0, {3, 0})),
+               std::logic_error);
+  // Busy output (2, λ1) from a free input, again over idle link lanes.
+  const MulticastRequest busy_output{{1, 0}, {{2, 1}}};
+  ASSERT_EQ(network.check_admissible(busy_output), ConnectError::kOutputBusy);
+  EXPECT_THROW(network.install(busy_output, unicast_route(2, 1, 1, 0, {2, 1})),
+               std::logic_error);
+  // reinstall validates the same way and keeps the free slot free.
+  EXPECT_THROW(network.reinstall(spare, busy_input, unicast_route(2, 1, 1, 0, {3, 0})),
+               std::logic_error);
+  EXPECT_THROW(network.reinstall(spare, busy_output, unicast_route(2, 1, 1, 0, {2, 1})),
+               std::logic_error);
+
+  EXPECT_EQ(snapshot(), before);
+  EXPECT_EQ(network.active_connections(), 1u);
+  EXPECT_TRUE(network.connections().contains(held));
+  EXPECT_FALSE(network.connections().contains(spare));
+  network.self_check();
+  // The untouched free slot still revives under its id.
+  EXPECT_EQ(network.reinstall(spare, {{1, 1}, {{0, 0}}},
+                              unicast_route(1, 1, 0, 0, {0, 0})),
+            spare);
+  network.self_check();
+}
+
 TEST(ThreeStageNetwork, DestinationMultisetView) {
   ThreeStageNetwork network(small_params(), Construction::kMawDominant,
                             MulticastModel::kMAW);
