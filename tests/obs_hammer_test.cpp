@@ -86,6 +86,7 @@ TEST(SeqlockHammer, EngineSnapshotsStayConsistentUnderFullRateChurn) {
 
   constexpr std::size_t kReaders = 2;
   std::atomic<bool> done{false};
+  std::atomic<std::size_t> ready{0};
   std::atomic<std::uint64_t> inconsistent{0};
   std::atomic<std::uint64_t> regressed{0};
   std::atomic<std::uint64_t> reads{0};
@@ -94,7 +95,7 @@ TEST(SeqlockHammer, EngineSnapshotsStayConsistentUnderFullRateChurn) {
   for (std::size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
       std::vector<std::uint64_t> last_version(engine.shard_count(), 0);
-      while (!done.load(std::memory_order_relaxed)) {
+      const auto sweep = [&] {
         for (std::size_t s = 0; s < engine.shard_count(); ++s) {
           const EngineHealthSnapshot snapshot = engine.health_snapshot(s);
           reads.fetch_add(1, std::memory_order_relaxed);
@@ -112,10 +113,20 @@ TEST(SeqlockHammer, EngineSnapshotsStayConsistentUnderFullRateChurn) {
           }
           last_version[s] = snapshot.version;
         }
-      }
+      };
+      sweep();
+      ready.fetch_add(1, std::memory_order_release);
+      ready.notify_all();
+      while (!done.load(std::memory_order_relaxed)) sweep();
     });
   }
 
+  // Start handshake: the churn begins only after every reader's first
+  // sweep, so reads > 0 holds however late the scheduler runs the readers
+  // and however fast the churn finishes.
+  for (std::size_t n; (n = ready.load(std::memory_order_acquire)) < kReaders;) {
+    ready.wait(n, std::memory_order_acquire);
+  }
   ThreadPool pool(churn.workers);
   const engine::ChurnStats stats = driver.run(pool);
   done.store(true, std::memory_order_relaxed);
