@@ -107,13 +107,13 @@ int main() {
   table.print(std::cout);
   std::cout << "\n";
 
-  // Queued submission axis (DESIGN.md §3.13): the same classic churn pushed
-  // through the single-writer ShardExecutor instead of per-shard mutexes.
-  // Identical streams, identical reference -- the only things allowed to
-  // move are the wall-clock and throughput columns. The locked 4-worker row
-  // above is the before; these rows are the after.
+  // Queued submission axis (DESIGN.md §3.13): the same classic churn shipped
+  // to the single-writer ShardExecutor instead of run inline under each
+  // shard's claim. Identical streams, identical reference -- the only things
+  // allowed to move are the wall-clock and throughput columns. The inline
+  // 4-worker row above is the before; these rows are the after.
   std::cout << "Queued submission (single-writer executor): "
-               "workers x queue depth, locked rows above are the baseline.\n\n";
+               "workers x queue depth, inline rows above are the baseline.\n\n";
   Table queued_table(
       {"workers", "depth", "wall ms", "ops/s", "vs serial", "identical"});
   for (const std::size_t workers : {1u, 4u, 8u}) {

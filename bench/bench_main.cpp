@@ -528,8 +528,8 @@ BenchResult bench_obs_snapshot(bool tiny) {
 BenchResult bench_engine_queued(bool tiny) {
   // The single-writer submission path (DESIGN.md §3.13): the same churn as
   // engine_churn, but every op ships through a bounded per-shard MPSC queue
-  // and executes on the ShardExecutor's workers instead of under the shard
-  // mutex. The determinism contract is unchanged -- the queued run must
+  // and executes on the ShardExecutor's workers instead of inline on its
+  // submitter under the shard's claim. The determinism contract is unchanged -- the queued run must
   // reproduce the serial replay bit-identically -- and the run must light up
   // the engine.queue_depth / engine.op_wait_ns instruments that the
   // thresholds file gates.

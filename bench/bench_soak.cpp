@@ -25,7 +25,7 @@
 //      row 1's ChurnStats bit-identically; the throughput column is the
 //      scaling curve committed to docs/BENCHMARKS.md.
 //   4. Drain: every filled session disconnects cleanly, the lock-free
-//      session count agrees with the locked recount, and self_check passes.
+//      session count agrees with the claimed recount, and self_check passes.
 //
 // Scaling and latency gates are enforced only when the host has >= 8
 // hardware threads (like bench_churn: on a 1-core container the sweep is

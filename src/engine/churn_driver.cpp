@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -203,27 +204,6 @@ void ChurnDriver::grow_tick(Lane& lane, std::size_t victim) {
   lane.active[victim] = result.connection;
 }
 
-void ChurnDriver::drain(Lane& lane) {
-  std::lock_guard shard_lock(engine_->shard_mutex(lane.shard));
-  for (;;) {
-    std::size_t size = 0;
-    {
-      std::lock_guard queue_lock(lane.queue_mutex);
-      if (lane.queue_head == lane.queue.size()) {
-        lane.queue.clear();
-        lane.queue_head = 0;
-        break;
-      }
-      size = lane.queue[lane.queue_head++];
-    }
-    ScopedTimer timer(DriverMetrics::get().drain_batch);
-    TraceSpan span("engine.drain_batch");
-    span.arg("shard", static_cast<std::int64_t>(lane.shard));
-    span.arg("ops", static_cast<std::int64_t>(size));
-    for (std::size_t i = 0; i < size; ++i) tick(lane);
-  }
-}
-
 ChurnStats ChurnDriver::merge(std::vector<std::unique_ptr<Lane>>& lanes) const {
   ChurnStats out;
   out.per_shard.reserve(lanes.size());
@@ -242,9 +222,17 @@ ChurnStats ChurnDriver::merge(std::vector<std::unique_ptr<Lane>>& lanes) const {
   return out;
 }
 
-void ChurnDriver::queued_batch(void* ctx, std::uint64_t ops) {
-  auto* task = static_cast<QueuedLaneCtx*>(ctx);
-  Lane& lane = *task->lane;
+std::vector<std::unique_ptr<ChurnDriver::Lane>> ChurnDriver::make_lanes() {
+  std::vector<std::unique_ptr<Lane>> lanes;
+  lanes.reserve(engine_->shard_count());
+  for (std::size_t s = 0; s < engine_->shard_count(); ++s) {
+    lanes.push_back(std::make_unique<Lane>(*this, s, config_));
+  }
+  return lanes;
+}
+
+void ChurnDriver::run_batch(void* raw, std::uint64_t ops) {
+  Lane& lane = *static_cast<Lane*>(raw);
   // A prior batch on this shard failed: stop advancing the stream so the
   // error surfaces with the lane state that produced it.
   if (lane.task_error) return;
@@ -253,52 +241,55 @@ void ChurnDriver::queued_batch(void* ctx, std::uint64_t ops) {
     TraceSpan span("engine.drain_batch");
     span.arg("shard", static_cast<std::int64_t>(lane.shard));
     span.arg("ops", static_cast<std::int64_t>(ops));
-    for (std::uint64_t i = 0; i < ops; ++i) task->driver->tick(lane);
+    for (std::uint64_t i = 0; i < ops; ++i) lane.driver->tick(lane);
   } catch (...) {
-    // Never let an exception escape into the executor's worker loop (that
-    // would terminate the process); run_queued rethrows after quiescing.
+    // Never let an exception escape into an executor's worker loop (that
+    // would terminate the process); run() rethrows once every batch ran.
     lane.task_error = std::current_exception();
   }
 }
 
-ChurnStats ChurnDriver::run_queued() {
-  const std::size_t shard_count = engine_->shard_count();
-  std::vector<std::unique_ptr<Lane>> lanes;
-  lanes.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    lanes.push_back(std::make_unique<Lane>(s, config_));
-  }
+ChurnStats ChurnDriver::run(ThreadPool& pool) {
+  std::vector<std::unique_ptr<Lane>> lanes = make_lanes();
   if (config_.ops_per_shard != 0) {
+    const std::size_t shard_count = lanes.size();
     const std::size_t batch = std::max<std::size_t>(1, config_.batch);
-    const std::size_t batches_per_shard =
-        (config_.ops_per_shard + batch - 1) / batch;
+    const std::size_t total_batches =
+        (config_.ops_per_shard + batch - 1) / batch * shard_count;
+    const std::size_t workers = std::max<std::size_t>(1, config_.workers);
 
-    ExecutorConfig exec_config;
-    exec_config.workers = std::max<std::size_t>(1, config_.workers);
-    exec_config.queue_capacity = std::max<std::size_t>(2, config_.queue_depth);
-    ShardExecutor executor(*engine_, exec_config);
-
-    std::vector<QueuedLaneCtx> contexts(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      contexts[s] = {this, lanes[s].get()};
+    std::optional<ShardExecutor> executor;
+    if (config_.queued) {
+      executor.emplace(*engine_,
+                       ExecutorConfig{.workers = workers,
+                                      .queue_capacity = std::max<std::size_t>(
+                                          2, config_.queue_depth)});
     }
-    // Same batch schedule as the locked mode (round-robin over shards), but
-    // shipped: the single submitting thread pushes count-carrying tasks into
-    // the owning shard's queue and never touches lane state itself. FIFO
-    // drain per shard reproduces the serial stream exactly; a full queue
-    // blocks the submitter (backpressure), which delays but never reorders.
-    for (std::size_t claim = 0; claim < batches_per_shard * shard_count;
-         ++claim) {
-      const std::size_t shard = claim % shard_count;
-      const std::size_t begin = (claim / shard_count) * batch;
-      const std::size_t size =
-          std::min(batch, config_.ops_per_shard - begin);
-      DriverMetrics::get().batches.add();
-      executor.submit_task(shard, &ChurnDriver::queued_batch,
-                           &contexts[shard], size, nullptr);
-    }
-    executor.quiesce();
-    // Executor destructor: quiesce, detach from the engine, join workers.
+    // One submitter feeds an executor (a full queue blocks it: backpressure
+    // delays but never reorders); inline, each of `workers` submitters runs
+    // the batches it draws.
+    std::atomic<std::size_t> cursor{0};
+    pool.parallel_for(executor ? 1 : workers, [&](std::size_t) {
+      TraceSpan span("engine.worker");
+      for (;;) {
+        const std::size_t claim =
+            cursor.fetch_add(1, std::memory_order_relaxed);
+        if (claim >= total_batches) return;
+        Lane& lane = *lanes[claim % shard_count];
+        const std::size_t begin = (claim / shard_count) * batch;
+        const std::size_t size = std::min(batch, config_.ops_per_shard - begin);
+        DriverMetrics::get().batches.add();
+        if (executor) {
+          executor->submit_task(lane.shard, &ChurnDriver::run_batch, &lane,
+                                size, nullptr);
+        } else {
+          engine_->with_shard_exclusive(lane.shard,
+                                        [&] { run_batch(&lane, size); });
+        }
+      }
+    });
+    // The executor's destructor quiesces, detaches from the engine and
+    // joins its workers, so every batch has run past this point.
   }
   for (const auto& lane : lanes) {
     if (lane->task_error) std::rethrow_exception(lane->task_error);
@@ -306,63 +297,12 @@ ChurnStats ChurnDriver::run_queued() {
   return merge(lanes);
 }
 
-ChurnStats ChurnDriver::run(ThreadPool& pool) {
-  if (config_.queued) return run_queued();
-  const std::size_t shard_count = engine_->shard_count();
-  std::vector<std::unique_ptr<Lane>> lanes;
-  lanes.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    lanes.push_back(std::make_unique<Lane>(s, config_));
-  }
-  if (config_.ops_per_shard == 0) return merge(lanes);
-
-  const std::size_t batch = std::max<std::size_t>(1, config_.batch);
-  const std::size_t batches_per_shard =
-      (config_.ops_per_shard + batch - 1) / batch;
-  const std::size_t total_batches = batches_per_shard * shard_count;
-  std::atomic<std::size_t> cursor{0};
-
-  const std::size_t workers = std::max<std::size_t>(1, config_.workers);
-  pool.parallel_for(workers, [&](std::size_t) {
-    TraceSpan span("engine.worker");
-    for (;;) {
-      const std::size_t claim = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (claim >= total_batches) return;
-      Lane& lane = *lanes[claim % shard_count];
-      const std::size_t begin = (claim / shard_count) * batch;
-      const std::size_t size = std::min(batch, config_.ops_per_shard - begin);
-      {
-        std::lock_guard queue_lock(lane.queue_mutex);
-        lane.queue.push_back(size);
-      }
-      DriverMetrics::get().batches.add();
-      drain(lane);
-    }
-  });
-
-  // Every submitter drains after pushing, so no batch can be left behind
-  // once parallel_for joins. A leftover means the scheduling invariant (and
-  // with it the determinism argument) is broken -- fail loudly.
-  for (const auto& lane : lanes) {
-    std::lock_guard queue_lock(lane->queue_mutex);
-    if (lane->queue_head != lane->queue.size()) {
-      throw std::logic_error("ChurnDriver: undrained batch queue after join");
-    }
-  }
-  return merge(lanes);
-}
-
 ChurnStats ChurnDriver::run() { return run(default_pool()); }
 
 ChurnStats ChurnDriver::run_serial() {
-  const std::size_t shard_count = engine_->shard_count();
-  std::vector<std::unique_ptr<Lane>> lanes;
-  lanes.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    lanes.push_back(std::make_unique<Lane>(s, config_));
-    Lane& lane = *lanes.back();
-    std::lock_guard shard_lock(engine_->shard_mutex(s));
-    for (std::size_t op = 0; op < config_.ops_per_shard; ++op) tick(lane);
+  std::vector<std::unique_ptr<Lane>> lanes = make_lanes();
+  for (const auto& lane : lanes) {
+    for (std::size_t op = 0; op < config_.ops_per_shard; ++op) tick(*lane);
   }
   return merge(lanes);
 }

@@ -11,23 +11,20 @@
 //     is therefore a pure function of (seed, shard, ops executed so far).
 //
 //   * Work is cut into fixed-size batches scheduled round-robin across
-//     shards. Worker threads claim batches from an atomic cursor, submit
-//     each claim into the owning shard's mutex-guarded queue, then drain
-//     that queue under the shard's mutex. Draining serializes each shard, so
-//     its op stream advances exactly as in a single-threaded run no matter
-//     which worker executes which batch or in which order batches land --
-//     batches carry op *counts*, not op content, and content comes from the
-//     shard-resident stream.
-//
-//   * A submitter always drains after enqueueing, so by the time run()
-//     joins, every queue is empty: a pushed batch is executed either by a
-//     concurrent drainer that saw it or by its own submitter's drain.
+//     shards and handed out by one atomic cursor. A batch carries an op
+//     *count*, not op content -- content comes from the shard-resident
+//     stream -- and runs under the shard's single-writer claim, so each
+//     shard's stream advances exactly as in a single-threaded run no matter
+//     which thread executes which batch or in which order batches land.
+//     The only choice is who runs a batch: its submitter, inline under the
+//     claim (`workers` submitters), or -- in queued mode -- a ShardExecutor
+//     the run attaches, fed by one submitter.
 //
 // Aggregation merges per-shard stats in ascending shard order, so ChurnStats
-// -- down to every counter -- is bit-identical for 1, 2, or 64 workers
-// (enforced by tests/engine_test.cpp and bench_churn). run_serial() executes
-// the same streams with no queues, batches, or pool, as an independent
-// replay reference.
+// -- down to every counter -- is bit-identical for 1, 2, or 64 workers and
+// any queue depth (enforced by tests/engine_test.cpp, executor_test.cpp and
+// bench_churn). run_serial() executes the same streams with no claims,
+// batches, or threads, as an independent replay reference.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +42,7 @@ namespace wdm::engine {
 struct ChurnConfig {
   /// Churn ops (ticks) each shard executes.
   std::size_t ops_per_shard = 2000;
-  /// Ops per queued batch (the submission granularity).
+  /// Ops per batch (the submission granularity).
   std::size_t batch = 64;
   /// Worker threads for run(); clamped to >= 1. The thread count must never
   /// change results -- that is the point.
@@ -63,12 +60,12 @@ struct ChurnConfig {
   std::size_t self_check_every = 0;
   /// Queued submission mode (DESIGN.md §3.13): run() creates a ShardExecutor
   /// (`workers` draining workers, per-shard queues of `queue_depth`) and
-  /// ships each batch as a count-carrying task into the owning shard's
-  /// queue instead of locking the shard mutex. Op content still comes from
-  /// the shard-resident rng stream and each shard's tasks execute in FIFO
-  /// submission order under single-writer exclusivity, so ChurnStats stays
-  /// bit-identical to the locked mode, to run_serial(), and to itself at any
-  /// worker count or queue depth (enforced by tests/executor_test.cpp).
+  /// ships each batch into the owning shard's queue instead of running it
+  /// inline under the shard's claim. Op content still comes from the
+  /// shard-resident rng stream and each shard's batches execute under its
+  /// claim, so ChurnStats stays bit-identical to the inline mode, to
+  /// run_serial(), and to itself at any worker count or queue depth
+  /// (enforced by tests/executor_test.cpp).
   bool queued = false;
   /// Per-shard submission queue capacity in queued mode (rounded up to a
   /// power of two; small values just surface backpressure earlier).
@@ -108,24 +105,28 @@ class ChurnDriver {
 
   [[nodiscard]] const ChurnConfig& config() const { return config_; }
 
-  /// Multithreaded churn on `pool` (the overload without a pool uses
-  /// default_pool()). Safe to call from inside a pool task: the nested
-  /// parallel_for runs inline (see thread_pool.h).
+  /// Multithreaded churn: the batch submitters run on `pool` (the overload
+  /// without a pool uses default_pool()). Safe to call from inside a pool
+  /// task: the nested parallel_for runs inline (see thread_pool.h).
   ChurnStats run(ThreadPool& pool);
   ChurnStats run();
 
   /// Single-threaded reference replay: the same per-shard op streams,
-  /// executed shard 0..S-1 with no queues, batches, or pool. Produces
+  /// executed shard 0..S-1 with no claims, batches, or threads. Produces
   /// bit-identical ChurnStats to run() on an identically-configured engine.
+  /// No other thread may use the engine meanwhile.
   ChurnStats run_serial();
 
  private:
   /// Per-shard run state: the shard-resident stream plus the driver's
-  /// session bookkeeping and the mutex-guarded batch queue.
+  /// session bookkeeping. Touched only under the shard's claim.
   struct Lane {
-    explicit Lane(std::size_t shard_index, const ChurnConfig& config)
-        : shard(shard_index), rng(Rng(config.seed).split(shard_index)) {}
+    Lane(ChurnDriver& owner, std::size_t shard_index, const ChurnConfig& config)
+        : driver(&owner),
+          shard(shard_index),
+          rng(Rng(config.seed).split(shard_index)) {}
 
+    ChurnDriver* const driver;
     const std::size_t shard;
     Rng rng;
     std::vector<ConnectionId> active;  // driver-owned live sessions
@@ -134,18 +135,14 @@ class ChurnDriver {
     std::size_t stale_cursor = 0;
     ShardChurnStats stats;
 
-    std::mutex queue_mutex;
-    std::vector<std::size_t> queue;  // pending batch sizes (FIFO)
-    std::size_t queue_head = 0;
-
-    /// Queued mode: first exception a batch task hit (written under shard
-    /// ownership, read by run() after quiescing). Later batches on the lane
-    /// see it and stop advancing the stream.
+    /// First exception a batch hit (read by run() after every batch has
+    /// run). Later batches on the lane see it and stop advancing the stream.
     std::exception_ptr task_error;
   };
 
   static constexpr std::size_t kStaleRing = 32;
 
+  std::vector<std::unique_ptr<Lane>> make_lanes();
   void tick(Lane& lane);
   void grow_tick(Lane& lane, std::size_t victim);
   void remember_stale(Lane& lane, ConnectionId id);
@@ -153,21 +150,11 @@ class ChurnDriver {
   /// (the post-mortem window CI uploads as an artifact), then throw
   /// std::logic_error(what).
   [[noreturn]] void fail(const char* what) const;
-  /// Execute every queued batch of `lane` under the shard mutex.
-  void drain(Lane& lane);
   ChurnStats merge(std::vector<std::unique_ptr<Lane>>& lanes) const;
-
-  /// Queued-mode run body (config_.queued): single-threaded submission of
-  /// batch tasks into a ShardExecutor, then quiesce and merge.
-  ChurnStats run_queued();
-  /// Context for one lane's queued batch tasks (submit_task trampoline).
-  struct QueuedLaneCtx {
-    ChurnDriver* driver = nullptr;
-    Lane* lane = nullptr;
-  };
-  /// Batch task body: `ops` ticks of the lane, executed on the worker that
-  /// owns the shard. Exceptions land in Lane::task_error, never escape.
-  static void queued_batch(void* ctx, std::uint64_t ops);
+  /// Batch body: `ops` ticks of lane `lane` (a Lane*), run by whoever holds
+  /// the lane's shard claim (an executor task trampoline). Exceptions land
+  /// in Lane::task_error, never escape.
+  static void run_batch(void* lane, std::uint64_t ops);
 
   ShardedEngine* engine_;
   ChurnConfig config_;

@@ -182,10 +182,6 @@ const std::vector<std::size_t>& ShardedEngine::owned_ports(
   return owned_ports_.at(shard);
 }
 
-std::mutex& ShardedEngine::shard_mutex(std::size_t shard) const {
-  return shards_.at(shard)->mutex;
-}
-
 MultistageSwitch& ShardedEngine::shard_switch(std::size_t shard) {
   return shards_.at(shard)->sw;
 }
@@ -193,47 +189,71 @@ MultistageSwitch& ShardedEngine::shard_switch(std::size_t shard) {
 std::optional<SessionId> ShardedEngine::connect(const MulticastRequest& request) {
   const std::size_t shard = shard_of(request.input.port);
   std::optional<ConnectionId> id;
-  if (ShardExecutor* exec = executor()) {
-    id = exec->connect(shard, request);
-  } else {
-    std::lock_guard lock(shards_[shard]->mutex);
-    id = connect_locked(shard, request);
-  }
+  with_shard_exclusive(shard, [&] { id = connect_locked(shard, request); });
   if (!id) return std::nullopt;
   return SessionId{static_cast<std::uint32_t>(shard), *id};
 }
 
 bool ShardedEngine::disconnect(SessionId session) {
   if (session.shard >= shards_.size()) return false;
-  if (ShardExecutor* exec = executor()) {
-    return exec->disconnect(session.shard, session.connection);
-  }
-  std::lock_guard lock(shards_[session.shard]->mutex);
-  return disconnect_locked(session.shard, session.connection);
+  bool released = false;
+  with_shard_exclusive(session.shard, [&] {
+    released = disconnect_locked(session.shard, session.connection);
+  });
+  return released;
 }
 
 GrowResult ShardedEngine::grow(SessionId session,
                                const WavelengthEndpoint& destination) {
   if (session.shard >= shards_.size()) return {};
-  if (ShardExecutor* exec = executor()) {
-    return exec->grow(session.shard, session.connection, destination);
-  }
-  std::lock_guard lock(shards_[session.shard]->mutex);
-  return grow_locked(session.shard, session.connection, destination);
+  GrowResult result;
+  with_shard_exclusive(session.shard, [&] {
+    result = grow_locked(session.shard, session.connection, destination);
+  });
+  return result;
 }
 
 void ShardedEngine::attach_executor(ShardExecutor* executor) {
   executor_.store(executor, std::memory_order_release);
 }
 
-void ShardedEngine::with_shard_exclusive(
-    std::size_t shard, const std::function<void()>& fn) const {
-  if (ShardExecutor* exec = executor()) {
-    exec->run_task(shard, fn);
-    return;
+bool ShardedEngine::claim_inline(std::size_t shard) const {
+  Shard& owner = *shards_.at(shard);
+  ShardExecutor* exec = executor();
+  if (exec == nullptr) {
+    spin_then_yield([&owner] { return try_claim(owner); });
+    return true;
   }
-  std::lock_guard lock(shards_.at(shard)->mutex);
-  fn();
+  if (!try_claim(owner)) return false;
+  // Queued ops were submitted before this call began, so they run first.
+  if (exec->queue_empty(shard)) return true;
+  release_claim(shard);
+  return false;
+}
+
+void ShardedEngine::run_on_executor(std::size_t shard, void (*body)(void*),
+                                    void* ctx) const {
+  struct Task {
+    void (*body)(void*);
+    void* ctx;
+    std::exception_ptr error;
+  } task{body, ctx, nullptr};
+  OpTicket ticket;
+  executor()->submit_task(
+      shard,
+      [](void* raw, std::uint64_t) {
+        // Caught here: an exception escaping a worker would terminate the
+        // process instead of failing the caller.
+        auto& queued = *static_cast<Task*>(raw);
+        try {
+          queued.body(queued.ctx);
+        } catch (...) {
+          queued.error = std::current_exception();
+        }
+      },
+      &task, 0, &ticket);
+  ticket.wait();
+  if (task.error) std::rethrow_exception(task.error);
 }
 
 std::size_t ShardedEngine::active_sessions() const {
@@ -253,9 +273,8 @@ std::size_t ShardedEngine::active_sessions() const {
 
 std::size_t ShardedEngine::active_sessions_locked() const {
   std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    total += shard->sw.active_connections();
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    with_shard_exclusive(s, [&] { total += shards_[s]->sw.active_connections(); });
   }
   return total;
 }
@@ -289,24 +308,15 @@ AdmissionPrecheck ShardedEngine::admission_precheck(std::size_t shard) const {
 }
 
 void ShardedEngine::self_check() const {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    // Capture instead of throwing out of the closure: in executor mode the
-    // body runs on a worker thread, and an exception escaping a worker
-    // would terminate the process instead of failing the caller.
-    std::exception_ptr error;
-    with_shard_exclusive(s, [this, s, &error] {
-      try {
-        shards_[s]->sw.network().self_check();
-      } catch (...) {
-        error = std::current_exception();
-      }
-    });
-    if (error) {
-      // The post-mortem window: what the shards did leading up to the
-      // corruption, before the exception unwinds the run away.
-      dump_flight_recorders(std::cerr);
-      std::rethrow_exception(error);
+  try {
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      with_shard_exclusive(s, [&] { shards_[s]->sw.network().self_check(); });
     }
+  } catch (...) {
+    // The post-mortem window: what the shards did leading up to the
+    // corruption, before the exception unwinds the run away.
+    dump_flight_recorders(std::cerr);
+    throw;
   }
 }
 
@@ -506,9 +516,10 @@ CrossGrowResult ShardedEngine::grow_to_shard(
   // grown copy must not survive it. The copy's id never escaped (it is
   // returned only on success), so releasing it leaks nothing.
   with_shard_exclusive(target, [&] {
-    // try_disconnect (not a raw network release) so the router's caches see
-    // the teardown through their usual repair hooks. It cannot fail: the
-    // copy's id never left this function, so nothing else could release it.
+    // Through the router, not a raw network release: the copy was admitted
+    // by try_connect, so its teardown keeps routing.disconnects counted.
+    // It cannot fail: the copy's id never left this function, so nothing
+    // else could release it.
     dest.sw.try_disconnect(*grown_id);
     note_session_released(dest, *grown_id);
     dest.flight.record(obs::EngineOp::kMigrateIn, obs::EngineOpOutcome::kStale,

@@ -6,8 +6,8 @@
 // The engine scales the session plane the way modular Clos deployments scale
 // hardware -- and the way the AWG-based Clos literature decomposes fabrics
 // into independent planes: S full MultistageSwitch replicas ("shards"), each
-// guarded by its own mutex, with every session pinned to the shard that owns
-// its source port.
+// with exactly one writer at a time, with every session pinned to the shard
+// that owns its source port.
 //
 // Port ownership uses rendezvous (highest-random-weight) hashing: shard s
 // owns port p iff mix(p, s) is the maximum over all shards. That gives the
@@ -16,32 +16,35 @@
 //   * stable -- adding a shard moves only the ~N/(S+1) ports the new shard
 //     wins; no port ever moves between two surviving shards.
 //
-// Thread-safety contract: a shard's state is guarded by *exclusive shard
-// access*, which comes in two interchangeable flavors:
+// Thread-safety contract: a shard's state belongs to whoever holds the
+// shard's *claim*, one atomic word per shard. Taking it is an acquire
+// exchange that synchronizes-with the previous holder's release store, so
+// every mutation the last writer made happens-before the next writer reads.
 //
-//   * mutex mode (the default): the public session API (connect /
-//     disconnect / grow) locks exactly the owning shard, so sessions on
-//     distinct shards never contend. The *_locked variants are for drivers
-//     that run many operations under one shard_mutex() hold (see
-//     churn_driver.h); they must be called with that mutex held.
+//   * connect / disconnect / grow, active_sessions_locked, self_check and
+//     with_shard_exclusive claim exactly the shard they touch, run the body
+//     on the calling thread and release it; sessions on distinct shards
+//     never contend. A contended caller spins, then yields, until the claim
+//     frees.
+//   * While a ShardExecutor is attached (shard_executor.h, DESIGN.md §3.13)
+//     its workers drain per-shard queues under the same claim. A caller
+//     still runs inline when the claim is free and the shard's queue is
+//     empty; otherwise it queues its body behind the pending ops and waits,
+//     so one thread's ops keep their order.
+//   * shard_switch() and the *_locked bodies require the claim: call them
+//     inside with_shard_exclusive or inside a task the executor runs on
+//     that shard. A claim is not reentrant -- never ask for a shard while
+//     holding it (holding several distinct shards at once is fine).
 //
-//   * executor mode (DESIGN.md §3.13): while a ShardExecutor is attached
-//     (shard_executor.h), exclusivity comes from queue ownership instead --
-//     exactly one worker drains a shard's submission queue at a time, so
-//     the shard body runs with no mutex at all. The public session API
-//     transparently routes through the executor's queues in this mode; the
-//     *_locked variants are then for op bodies executing on the owning
-//     worker. Never take shard_mutex() while an executor is attached.
-//
-// Lock-free reads ride neither: is_active / find_session probe the
+// Lock-free reads take no claim: is_active / find_session probe the
 // per-shard session-generation table (obs/session_table.h) and
 // admission_precheck / active_sessions read the seqlock health-snapshot
-// spine (obs/health_snapshot.h) -- zero mutex acquisitions, safe from any
-// thread in either mode, even while every shard is saturated.
+// spine (obs/health_snapshot.h) -- safe from any thread, even while every
+// shard's claim is held.
 //
 // Determinism across thread counts is a driver property: the engine itself
 // is deterministic per shard because a shard is just a serial
-// MultistageSwitch behind an exclusivity discipline.
+// MultistageSwitch with one writer at a time.
 #pragma once
 
 #include <atomic>
@@ -49,8 +52,8 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "multistage/builder.h"
@@ -127,7 +130,7 @@ struct SessionProbe {
 /// margin read off the health-snapshot spine. `admit` is advisory -- the
 /// margin can change between the probe and a subsequent connect() -- but it
 /// is exact as of snapshot `version`, so admission control loops can shed
-/// load without ever touching a shard mutex.
+/// load without ever claiming a shard.
 struct AdmissionPrecheck {
   bool admit = false;
   /// bound_m - peak middle-stage occupancy (negative = over the bound, which
@@ -154,7 +157,7 @@ class ShardedEngine {
   /// The source ports shard `shard` owns, ascending.
   [[nodiscard]] const std::vector<std::size_t>& owned_ports(std::size_t shard) const;
 
-  // -- session API (thread-safe: exclusive shard access, see header note) ---
+  // -- session API (thread-safe: each call claims its shard, see header) ----
   /// Route + install on the owning shard; nullopt when inadmissible or
   /// blocked there.
   [[nodiscard]] std::optional<SessionId> connect(const MulticastRequest& request);
@@ -184,9 +187,8 @@ class ShardedEngine {
   /// spine; each shard's count is individually consistent as of its latest
   /// publish). At quiescence this equals active_sessions_locked() exactly.
   [[nodiscard]] std::size_t active_sessions() const;
-  /// The locked reference count (locks each shard briefly); for tests that
-  /// verify the snapshot spine against ground truth at quiescence. Mutex
-  /// mode only -- never call while an executor is attached.
+  /// The exclusive reference count (claims each shard briefly); for tests
+  /// that verify the snapshot spine against ground truth at quiescence.
   [[nodiscard]] std::size_t active_sessions_locked() const;
   /// Deep-check every shard replica (throws std::logic_error on corruption,
   /// after dumping every shard's flight recorder to stderr).
@@ -195,7 +197,7 @@ class ShardedEngine {
   // -- lock-free session reads (obs/session_table.h) ------------------------
   /// True iff `session` currently names a live session: its slot's
   /// generation table entry is active under exactly the id's generation.
-  /// ZERO mutex acquisitions; safe while every shard queue is saturated.
+  /// Takes no claim; safe while every shard queue is saturated.
   /// Never true for a stale id -- generations are monotone per slot, so a
   /// released-and-reused slot carries a later generation than the stale id.
   [[nodiscard]] bool is_active(SessionId session) const;
@@ -212,10 +214,10 @@ class ShardedEngine {
   /// MAW-dominant).
   [[nodiscard]] const NonblockingBound& theorem_bound() const { return bound_; }
 
-  /// The shard's latest published health snapshot, read with ZERO mutex
-  /// acquisition (seqlock retry loop; see obs/health_snapshot.h). Safe from
-  /// any thread at any time -- including while every shard mutex is held by
-  /// someone else. Shards publish at every commit point (connect /
+  /// The shard's latest published health snapshot, read without claiming
+  /// the shard (seqlock retry loop; see obs/health_snapshot.h). Safe from
+  /// any thread at any time -- including while every shard's claim is held
+  /// by someone else. Shards publish at every commit point (connect /
   /// disconnect / grow), plus once at construction, so the result is
   /// always a complete, internally consistent snapshot.
   [[nodiscard]] obs::EngineHealthSnapshot health_snapshot(std::size_t shard) const;
@@ -231,16 +233,20 @@ class ShardedEngine {
   void dump_flight_recorders(std::ostream& os) const;
 
   // -- shard plumbing for drivers -------------------------------------------
-  /// The mutex guarding shard `shard`'s switch. Hold it across any use of
-  /// shard_switch() or the *_locked calls.
-  [[nodiscard]] std::mutex& shard_mutex(std::size_t shard) const;
-  /// The shard's replica; requires shard_mutex(shard) (or a quiescent engine).
+  /// Run `fn()` with exclusive access to shard `shard` and return once it
+  /// has run: on the calling thread under the shard's claim, or -- with an
+  /// executor attached and the shard busy or backlogged -- as a task on the
+  /// executor, waited for. An exception thrown by `fn` reaches the caller
+  /// either way. The unit of the two-phase cross-shard grow.
+  template <typename Fn>
+  void with_shard_exclusive(std::size_t shard, Fn&& fn) const;
+  /// The shard's replica; requires the shard's claim (or a quiescent engine).
   [[nodiscard]] MultistageSwitch& shard_switch(std::size_t shard);
 
-  /// connect/disconnect/grow bodies without the lock; callers hold
-  /// shard_mutex(shard). connect_locked does NOT re-check ownership of the
-  /// request's source port -- drivers that generate per-shard traffic from
-  /// owned_ports() satisfy it by construction.
+  /// connect/disconnect/grow bodies; callers hold the shard's claim.
+  /// connect_locked does NOT re-check ownership of the request's source
+  /// port -- drivers that generate per-shard traffic from owned_ports()
+  /// satisfy it by construction.
   [[nodiscard]] std::optional<ConnectionId> connect_locked(
       std::size_t shard, const MulticastRequest& request);
   bool disconnect_locked(std::size_t shard, ConnectionId id);
@@ -248,11 +254,11 @@ class ShardedEngine {
                          const WavelengthEndpoint& destination);
 
   // -- executor seam (shard_executor.h, DESIGN.md §3.13) --------------------
-  /// Route the public session API through `executor`'s per-shard submission
-  /// queues (single-writer mode). Pass nullptr to detach (the executor does
-  /// this from its destructor after quiescing). Attach/detach only at
-  /// quiescence -- in-flight public calls on the old path would race the
-  /// mode switch.
+  /// Let `executor`'s workers share the shard claims, and queue a caller's
+  /// body behind a backlogged shard's pending ops. Pass nullptr to detach
+  /// (the executor does this from its destructor after quiescing).
+  /// Attach/detach only at quiescence -- an in-flight call could otherwise
+  /// queue onto an executor that is going away.
   void attach_executor(ShardExecutor* executor);
   [[nodiscard]] ShardExecutor* executor() const {
     return executor_.load(std::memory_order_acquire);
@@ -260,13 +266,14 @@ class ShardedEngine {
 
  private:
   friend class ShardExecutor;
-  /// Mutex + replica, heap-pinned (mutexes are immovable) and padded so two
-  /// shards' hot state never shares a cache line. The observability tail
-  /// (tallies, flight ring, seqlock slot, encode scratch) is written only
-  /// under `mutex`; the seqlock slot is additionally read lock-free.
+  /// Claim + replica, heap-pinned and padded so two shards' hot state never
+  /// shares a cache line. The observability tail (tallies, flight ring,
+  /// seqlock slot, encode scratch) is written only under the claim; the
+  /// seqlock slot is additionally read lock-free.
   struct alignas(64) Shard {
     Shard(std::uint32_t index, const EngineConfig& config);
-    mutable std::mutex mutex;
+    /// The single-writer claim (see the header note).
+    std::atomic<bool> claimed{false};
     MultistageSwitch sw;
     // Deterministic per-shard churn tallies (mirror the engine.* counters).
     std::uint64_t connects = 0;
@@ -280,7 +287,7 @@ class ShardedEngine {
     /// Reusable encode buffer (sized once, so publishing allocates nothing).
     std::vector<std::uint64_t> encode_scratch;
     /// Lock-free session-generation table: written at every commit point
-    /// under shard exclusivity, probed by is_active/find_session from any
+    /// under the claim, probed by is_active/find_session from any
     /// thread with no lock (obs/session_table.h).
     obs::SessionGenTable session_table;
   };
@@ -289,14 +296,23 @@ class ShardedEngine {
   /// slot. Requires exclusive shard access (the single-writer contract).
   void publish_health(Shard& shard);
 
-  /// Run `fn` with exclusive access to shard `shard`: a lock_guard in mutex
-  /// mode, a submitted task (awaited) in executor mode. The unit of the
-  /// two-phase cross-shard grow -- each phase claims exactly one shard, so
-  /// no lock ordering between shards ever exists. Const because exclusivity
-  /// is a read-side concern too (self_check); `fn` mutates shard state only
-  /// through the engine's own mutable paths.
-  void with_shard_exclusive(std::size_t shard,
-                            const std::function<void()>& fn) const;
+  /// Take the claim iff it is free. Acquire on success.
+  static bool try_claim(Shard& shard) {
+    return !shard.claimed.load(std::memory_order_relaxed) &&
+           !shard.claimed.exchange(true, std::memory_order_acquire);
+  }
+  /// Take shard `shard`'s claim for an inline run and return true -- waiting
+  /// out a contended claim when no executor is attached. Returns false
+  /// without the claim when an attached executor must run the body instead
+  /// (the claim is held, or ops are queued ahead of the caller).
+  bool claim_inline(std::size_t shard) const;
+  void release_claim(std::size_t shard) const {
+    shards_[shard]->claimed.store(false, std::memory_order_release);
+  }
+  /// Run `body(ctx)` as a task on the attached executor's shard `shard`
+  /// queue and wait for it; rethrows whatever the body threw.
+  void run_on_executor(std::size_t shard, void (*body)(void*),
+                       void* ctx) const;
 
   /// Sync the session-generation table after an op that renewed or released
   /// ids. Requires exclusive shard access.
@@ -317,5 +333,22 @@ class ShardedEngine {
   std::function<void(SessionId original, SessionId grown)>
       cross_grow_between_phases_hook;
 };
+
+template <typename Fn>
+void ShardedEngine::with_shard_exclusive(std::size_t shard, Fn&& fn) const {
+  if (!claim_inline(shard)) {
+    using Body = std::remove_reference_t<Fn>;
+    run_on_executor(
+        shard, [](void* body) { (*static_cast<Body*>(body))(); },
+        const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
+    return;
+  }
+  struct Release {
+    const ShardedEngine* engine;
+    std::size_t shard;
+    ~Release() { engine->release_claim(shard); }
+  } release{this, shard};
+  fn();
+}
 
 }  // namespace wdm::engine

@@ -12,10 +12,10 @@
 // overwrite counted as a drop (docs stay honest about what the window lost).
 // Unlike span tracing it is always armed -- recording is one uncontended
 // mutex acquisition plus a struct copy, cheap enough to ride the shard's
-// mutex-serialized write path -- and carries engine semantics instead of
+// claim-serialized write path -- and carries engine semantics instead of
 // wall-clock timing.
 //
-// Writers are the shard-mutex holders (one at a time by construction);
+// Writers are the shard-claim holders (one at a time by construction);
 // dump() may run from any thread at any moment, so an internal mutex
 // arbitrates the ring itself. ChurnDriver and ShardedEngine::self_check dump
 // every shard's ring to stderr before throwing on an invariant violation,

@@ -1,7 +1,7 @@
 // Lock-free engine health snapshots: seqlock-published per-shard state.
 //
-// The sharded engine serializes every mutation behind per-shard mutexes
-// (engine/sharded_engine.h). Monitoring must not join that queue: an
+// The sharded engine serializes every mutation behind a per-shard claim
+// (engine/sharded_engine.h). Monitoring must not wait for it: an
 // admission controller polling "how much Theorem-1 margin is left?" or a
 // dashboard reading occupancy skew would otherwise contend with the churn
 // hot path it is trying to observe. This header is the read-path split the
@@ -12,7 +12,7 @@
 // Publication protocol (DESIGN.md §3.11): a classic single-writer seqlock
 // over a flat array of relaxed-atomic uint64 words.
 //
-//   writer (holds the shard mutex, so writes never race each other):
+//   writer (holds the shard's claim, so writes never race each other):
 //     seq.store(s+1, relaxed);              // odd = write in progress
 //     atomic_thread_fence(release);
 //     words[i].store(..., relaxed);         // payload
@@ -37,7 +37,7 @@
 // publish is O(m)), the Theorem-1/2 margin under the shard's current fault
 // state, and cumulative churn tallies. Per-link occupancy words are not
 // published; they stay readable through ShardedEngine::shard_switch(s)
-// while holding shard_mutex(s).
+// inside with_shard_exclusive(s, ...).
 #pragma once
 
 #include <atomic>
@@ -50,7 +50,7 @@ namespace wdm::obs {
 
 /// One shard's published health state. Decoded from a seqlock slot; every
 /// field is a point-in-time-consistent view of the shard (all fields were
-/// published together under the shard mutex).
+/// published together under the shard's claim).
 struct EngineHealthSnapshot {
   /// Publish count of the owning shard; strictly increasing per shard, so a
   /// poller can tell "new data" from "same data" without reading the rest.
@@ -122,7 +122,7 @@ struct EngineHealthSnapshot {
 
 /// Single-writer seqlock cell over a fixed number of uint64 payload words.
 /// The writer must be externally serialized (the engine publishes under the
-/// shard mutex); readers take no lock, ever.
+/// shard's claim); readers take no lock, ever.
 class SeqlockSnapshotSlot {
  public:
   explicit SeqlockSnapshotSlot(std::size_t words);

@@ -284,23 +284,26 @@ std::optional<ConnectionId> RepackEngine::connect(const MulticastRequest& reques
 
   executor_.begin();
   moved_.clear();
-  pending_.clear();
-  pending_.push_back(PendingPlace{request, std::nullopt});
 
-  // Work list: place the head item; when it blocks, break the session the
-  // planner blames and retry -- the released victim joins the tail, so a
-  // victim that itself blocks extends the chain. Bounded by the move
-  // budget; any dead end rolls the whole transaction back.
+  // Work list: the request, then every released victim in release order
+  // (victim i is item i + 1, re-placed from the executor's own copy). Place
+  // the head item; when it blocks, break the session the planner blames and
+  // retry -- the released victim joins the tail, so a victim that itself
+  // blocks extends the chain. Bounded by the move budget; any dead end
+  // rolls the whole transaction back.
   std::size_t moves = 0;
   std::size_t head = 0;
   std::optional<ConnectionId> root_id;
   bool failed = false;
-  while (head < pending_.size()) {
-    if (const auto id = executor_.try_admit(pending_[head].request)) {
-      if (pending_[head].old_id) {
-        moved_.emplace_back(*pending_[head].old_id, *id);
-      } else {
+  while (head <= executor_.released_count()) {
+    // Re-read every pass: a release may reallocate the victim list.
+    const MulticastRequest& place =
+        head == 0 ? request : executor_.victim_request(head - 1);
+    if (const auto id = executor_.try_admit(place)) {
+      if (head == 0) {
         root_id = *id;
+      } else {
+        moved_.emplace_back(executor_.victim_id(head - 1), *id);
       }
       ++head;
       continue;
@@ -310,13 +313,11 @@ std::optional<ConnectionId> RepackEngine::connect(const MulticastRequest& reques
       break;
     }
     planner_.refresh();
-    const auto victim = planner_.propose(pending_[head].request, executor_);
+    const auto victim = planner_.propose(place, executor_);
     if (!victim) {
       failed = true;
       break;
     }
-    pending_.push_back(PendingPlace{
-        router_->network().find_connection(*victim)->first, *victim});
     executor_.release(*victim);  // break
     ++moves;
     // Test seam: a failure here leaves the victim torn down with its

@@ -206,7 +206,8 @@ class RepackEngine {
   /// planning. On a repack admit, last_moved() reports the migrated
   /// sessions (old id -> new id) until the next call. On failure the
   /// transaction is rolled back (occupancy untouched) and the router's
-  /// last_error() explains the final obstacle.
+  /// last_error() explains the final obstacle. `request` is read for the
+  /// whole transaction, so it must not be a network decode entry.
   [[nodiscard]] std::optional<ConnectionId> connect(const MulticastRequest& request);
 
   [[nodiscard]] const RepackPolicy& policy() const { return policy_; }
@@ -230,18 +231,10 @@ class RepackEngine {
   }
 
  private:
-  /// One pending placement of the work list: the new request (no old id)
-  /// or a released victim awaiting re-route.
-  struct PendingPlace {
-    MulticastRequest request;
-    std::optional<ConnectionId> old_id;
-  };
-
   Router* router_;
   RepackPolicy policy_;
   RepackPlanner planner_;
   RepackExecutor executor_;
-  std::vector<PendingPlace> pending_;  // work list, head never popped
   std::vector<std::pair<ConnectionId, ConnectionId>> moved_;
   std::uint64_t moved_total_ = 0;
   std::size_t max_chain_ = 0;

@@ -19,7 +19,7 @@
 // without any shared counter.
 //
 // Why bounded: the queue doubles as the engine's backpressure. A full shard
-// queue makes submitters wait (ShardExecutor::submit spins/yields), which is
+// queue makes submitters wait (ShardExecutor::submit_task spins/yields), which is
 // exactly the admission-control behavior a saturated shard should have --
 // unbounded queues would just move the overload into memory. Capacity is
 // rounded up to a power of two so the ring index is a mask, not a modulo.
@@ -86,19 +86,23 @@ class BoundedMpscQueue {
   }
 
   /// Single-consumer pop; false when empty. Callers must serialize pops
-  /// externally (the executor's shard-ownership flag does this).
+  /// externally (the engine's per-shard claim does this).
   bool try_pop(T& out) {
-    const std::size_t ticket = head_;
-    Cell& cell = cells_[ticket & mask_];
-    const std::size_t seq = cell.sequence.load(std::memory_order_acquire);
-    if (static_cast<std::intptr_t>(seq) -
-            static_cast<std::intptr_t>(ticket + 1) < 0) {
-      return false;  // producer has not published this cell yet: empty
-    }
+    if (empty()) return false;  // producer has not published the head cell
+    Cell& cell = cells_[head_ & mask_];
     out = std::move(cell.value);
-    cell.sequence.store(ticket + mask_ + 1, std::memory_order_release);
-    head_ = ticket + 1;
+    cell.sequence.store(head_ + mask_ + 1, std::memory_order_release);
+    ++head_;
     return true;
+  }
+
+  /// Consumer-side emptiness check: true when the next pop would fail.
+  /// Only the consumer may call it (it reads the consumer cursor).
+  [[nodiscard]] bool empty() const {
+    const std::size_t seq =
+        cells_[head_ & mask_].sequence.load(std::memory_order_acquire);
+    return static_cast<std::intptr_t>(seq) -
+               static_cast<std::intptr_t>(head_ + 1) < 0;
   }
 
   /// Racy size estimate (submission-side instrumentation only; the engine's

@@ -333,10 +333,10 @@ ChurnConfig churn_config(std::size_t workers) {
 
 TEST(ChurnDriver, CountersBitIdenticalAcrossWorkerCounts) {
   // The tentpole guarantee: the same engine/churn config produces the same
-  // ChurnStats -- every counter, every shard -- at 1, 2, and 8 workers, and
-  // a serial replay agrees.
+  // ChurnStats -- every counter, every shard -- at 1, 2, 4 and 8 workers,
+  // and a serial replay agrees.
   std::optional<ChurnStats> reference;
-  for (const std::size_t workers : {1u, 2u, 8u}) {
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     ShardedEngine engine(small_config());
     ThreadPool pool(workers);
     ChurnDriver driver(engine, churn_config(workers));

@@ -3,16 +3,18 @@
 // ChurnDriver determinism across worker counts and queue depths, cross-shard
 // grow (two-phase, with deterministic rollback via the test hook), and the
 // lock-free read surface (is_active / find_session / admission_precheck /
-// snapshot-spine active_sessions) agreeing with locked ground truth.
+// snapshot-spine active_sessions) agreeing with claimed ground truth.
 //
-// Runs under the tsan ctest label: the exclusivity handoff (claim-flag
-// release/acquire) and the ticket publication are exactly the kind of
-// protocol TSan can falsify.
+// Runs under the tsan ctest label: the exclusivity handoff (claim-word
+// release/acquire between inline callers and workers) and the ticket
+// publication are exactly the kind of protocol TSan can falsify.
 #include "engine/shard_executor.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -112,12 +114,87 @@ TEST(ShardExecutor, PublicSessionApiRoutesThroughTheExecutor) {
   EXPECT_FALSE(engine.is_active(*session));  // break-before-make renewed id
   EXPECT_TRUE(engine.is_active({session->shard, grown.connection}));
 
-  engine.self_check();  // executor-mode self_check runs as owned tasks
+  engine.self_check();  // claims each shard, inline or as a queued task
 
-  EXPECT_TRUE(engine.disconnect({session->shard, grown.connection}));
+  // Idle shards, one caller: every call so far ran inline on this thread.
+  EXPECT_EQ(executor.executed_ops(), 0u);
+
+  // A busy shard: a worker holds the claim inside a task that ends only
+  // once another op is queued behind it, so the disconnect below must be
+  // submitted and executed by the executor, whatever the timing.
+  struct Parked {
+    ShardExecutor* executor;
+    std::size_t shard;
+  } parked{&executor, session->shard};
+  executor.submit_task(
+      session->shard,
+      [](void* raw, std::uint64_t) {
+        const auto& ctx = *static_cast<Parked*>(raw);
+        while (ctx.executor->queue_empty(ctx.shard)) std::this_thread::yield();
+      },
+      &parked, 0, nullptr);
+  bool released = false;
+  std::thread caller([&] {
+    released = engine.disconnect({session->shard, grown.connection});
+  });
+  caller.join();
+  EXPECT_TRUE(released);
+  executor.quiesce();  // executed_ops() counts a drain after its tickets
+  EXPECT_EQ(executor.executed_ops(), 2u);  // the parked task + the disconnect
+
   EXPECT_FALSE(engine.disconnect({session->shard, grown.connection}));
   EXPECT_EQ(engine.active_sessions(), 0u);
-  EXPECT_GE(executor.executed_ops(), 5u);
+}
+
+TEST(ShardExecutor, InlineCallerNeverOvertakesQueuedOps) {
+  // The single worker is parked inside a task on another shard, so an op
+  // queued on the session's shard waits there with that shard's claim
+  // free. A caller arriving then must queue behind it, not run inline: the
+  // probe must still see the session live. (Whatever the timing, the
+  // correct engine passes; the sleep only gives a wrong one -- one that
+  // runs the caller inline -- the chance to overtake.)
+  ShardedEngine engine(small_config());
+  const auto session = engine.connect({{0, 0}, {{3, 0}}});
+  ASSERT_TRUE(session.has_value());
+  const std::size_t other = (session->shard + 1) % engine.shard_count();
+  ShardExecutor executor(engine, {.workers = 1, .queue_capacity = 8});
+
+  struct Park {
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+  } park;
+  executor.submit_task(
+      other,
+      [](void* raw, std::uint64_t) {
+        auto& p = *static_cast<Park*>(raw);
+        p.started = true;
+        while (!p.release.load()) std::this_thread::yield();
+      },
+      &park, 0, nullptr);
+  while (!park.started.load()) std::this_thread::yield();
+
+  struct Probe {
+    ShardedEngine* engine;
+    SessionId session;
+    bool live_when_run = false;
+  } probe{&engine, *session};
+  executor.submit_task(
+      session->shard,
+      [](void* raw, std::uint64_t) {
+        auto& p = *static_cast<Probe*>(raw);
+        p.live_when_run = p.engine->is_active(p.session);
+      },
+      &probe, 0, nullptr);
+
+  bool released = false;
+  std::thread caller([&] { released = engine.disconnect(*session); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  park.release = true;
+  caller.join();
+  executor.quiesce();
+  EXPECT_TRUE(probe.live_when_run);  // the queued probe ran first
+  EXPECT_TRUE(released);
+  EXPECT_FALSE(engine.is_active(*session));
 }
 
 TEST(ShardExecutor, DetachesOnDestruction) {
@@ -127,7 +204,7 @@ TEST(ShardExecutor, DetachesOnDestruction) {
     EXPECT_EQ(engine.executor(), &executor);
   }
   EXPECT_EQ(engine.executor(), nullptr);
-  // Mutex mode works again after detach.
+  // Inline claims serve the session API alone again after detach.
   const auto session = engine.connect({{0, 0}, {{3, 0}}});
   ASSERT_TRUE(session.has_value());
   EXPECT_TRUE(engine.disconnect(*session));
@@ -163,6 +240,63 @@ TEST(ShardExecutor, ConcurrentSubmittersOnEveryShard) {
   EXPECT_EQ(engine.active_sessions(), 0u);
 }
 
+TEST(ShardExecutor, ClaimingReadsRunWhileAttachedAndBusy) {
+  // active_sessions_locked() and self_check() claim every shard; with an
+  // executor attached they share the claim with its workers. One worker is
+  // parked inside a task on the session's shard, so the reads there must
+  // wait behind it (queued or spinning) and still return exact answers.
+  ShardedEngine engine(small_config());
+  ShardExecutor executor(engine, {.workers = 2, .queue_capacity = 8});
+  const auto session = engine.connect({{0, 0}, {{3, 0}}});
+  ASSERT_TRUE(session.has_value());
+
+  std::atomic<bool> release{false};
+  OpTicket parked;
+  executor.submit_task(
+      session->shard,
+      [](void* flag, std::uint64_t) {
+        while (!static_cast<std::atomic<bool>*>(flag)->load()) {
+          std::this_thread::yield();
+        }
+      },
+      &release, 0, &parked);
+  std::size_t locked = 0;
+  std::thread reader([&] {
+    locked = engine.active_sessions_locked();
+    engine.self_check();
+  });
+  release = true;
+  reader.join();
+  parked.wait();
+  EXPECT_EQ(locked, 1u);
+
+  // And against live churn: clients connect/disconnect through the engine
+  // while this thread keeps counting and checking.
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 2; ++t) {
+    clients.emplace_back([&engine, &stop, t] {
+      const std::size_t port = static_cast<std::size_t>(4 + t);
+      while (!stop.load()) {
+        if (const auto churned = engine.connect({{port, 1}, {{7 - port, 1}}})) {
+          EXPECT_TRUE(engine.disconnect(*churned));
+        }
+      }
+    });
+  }
+  for (int round = 0; round < 50; ++round) {
+    const std::size_t count = engine.active_sessions_locked();
+    EXPECT_GE(count, 1u);
+    EXPECT_LE(count, 3u);
+    engine.self_check();
+  }
+  stop = true;
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(engine.active_sessions_locked(), 1u);
+  EXPECT_EQ(engine.active_sessions(), engine.active_sessions_locked());
+  EXPECT_TRUE(engine.disconnect(*session));
+}
+
 // -- queued-mode ChurnDriver determinism -------------------------------------
 
 ChurnConfig queued_churn_config(std::size_t workers, std::size_t queue_depth) {
@@ -179,7 +313,7 @@ ChurnConfig queued_churn_config(std::size_t workers, std::size_t queue_depth) {
 TEST(QueuedChurn, BitIdenticalAcrossWorkersAndQueueDepths) {
   // The tentpole's determinism gate: ChurnStats -- every counter, every
   // shard -- identical for any (workers, queue_depth) on the queued path,
-  // and identical to the serial replay and the locked path.
+  // and identical to the serial replay and the inline (claim) path.
   std::optional<ChurnStats> reference;
   {
     ShardedEngine engine(small_config());
@@ -187,12 +321,12 @@ TEST(QueuedChurn, BitIdenticalAcrossWorkersAndQueueDepths) {
     reference = driver.run_serial();
   }
   {
-    // Locked (mutex) path agreement.
+    // Inline path agreement: batches run by their submitters under claims.
     ShardedEngine engine(small_config());
-    ChurnConfig locked = queued_churn_config(2, 1024);
-    locked.queued = false;
-    ChurnDriver driver(engine, locked);
-    EXPECT_EQ(driver.run(), *reference) << "locked path diverged";
+    ChurnConfig inline_config = queued_churn_config(2, 1024);
+    inline_config.queued = false;
+    ChurnDriver driver(engine, inline_config);
+    EXPECT_EQ(driver.run(), *reference) << "inline path diverged";
   }
   for (const std::size_t workers : {1u, 2u, 4u}) {
     for (const std::size_t queue_depth : {2u, 64u}) {
@@ -204,7 +338,7 @@ TEST(QueuedChurn, BitIdenticalAcrossWorkersAndQueueDepths) {
           << "\n got " << stats.to_string() << "\n want "
           << reference->to_string();
       EXPECT_EQ(stats.total.stale_accepted, 0u);
-      // Post-run the executor has detached; locked and snapshot counts agree.
+      // Post-run the executor has detached; claimed and snapshot counts agree.
       EXPECT_EQ(engine.executor(), nullptr);
       EXPECT_EQ(engine.active_sessions(), engine.active_sessions_locked());
     }
@@ -245,7 +379,7 @@ TEST(LockFreeReads, FindSessionAndPrecheck) {
 
 TEST(LockFreeReads, ActiveSessionsAgreesWithLockedAtQuiescence) {
   // Satellite 1's agreement gate: drive real churn, then compare the
-  // snapshot-spine sum against the per-shard locked ground truth.
+  // snapshot-spine sum against the per-shard claimed ground truth.
   ShardedEngine engine(small_config());
   ChurnConfig config;
   config.ops_per_shard = 1500;
@@ -349,11 +483,25 @@ TEST(CrossShardGrow, WorksThroughTheExecutor) {
   ShardedEngine engine(small_config());
   ShardExecutor executor(engine, {.workers = 2});
   const CrossPair pair = connect_for_migration(engine);
+  // A worker holds the source shard's claim until an op queues behind it,
+  // so phase 1 of the migration must run as an executor task.
+  struct Parked {
+    ShardExecutor* executor;
+    std::size_t shard;
+  } parked{&executor, pair.session.shard};
+  executor.submit_task(
+      pair.session.shard,
+      [](void* raw, std::uint64_t) {
+        const auto& ctx = *static_cast<Parked*>(raw);
+        while (ctx.executor->queue_empty(ctx.shard)) std::this_thread::yield();
+      },
+      &parked, 0, nullptr);
   const CrossGrowResult result = engine.grow_to_shard(pair.session, {5, 0},
                                                       pair.target);
   ASSERT_EQ(result.status, GrowResult::Status::kGrown);
   EXPECT_TRUE(engine.is_active(result.session));
   executor.quiesce();
+  EXPECT_GE(executor.executed_ops(), 2u);  // the parked task + phase 1
   engine.self_check();
 }
 

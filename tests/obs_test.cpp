@@ -1,14 +1,14 @@
 // Observability plane: EngineHealthSnapshot encode/decode and seqlock
 // publication, the per-shard flight recorder ring, the engine's commit-point
-// publication contract (snapshots readable with zero mutex acquisition, even
-// while every shard mutex is held), agreement between engine tallies and
+// publication contract (snapshots readable without claiming a shard, even
+// while every shard's claim is held), agreement between engine tallies and
 // ChurnDriver stats, and the wdm-telemetry/1 sampler.
 #include "obs/health_snapshot.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <mutex>
+#include <functional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -219,23 +219,32 @@ TEST(EngineObservability, SnapshotsTrackCommitPoints) {
   EXPECT_TRUE(after_disconnect.consistent());
 }
 
-TEST(EngineObservability, SnapshotReadsTakeNoShardMutex) {
-  // The acceptance check for the lock-free claim: hold EVERY shard mutex and
-  // read fresh snapshots anyway. Any mutex acquisition in the read path
-  // would deadlock here (and the 5-second watchdog would flag it).
+TEST(EngineObservability, SnapshotReadsTakeNoShardClaim) {
+  // The acceptance check for the lock-free claim: hold EVERY shard's claim
+  // and read fresh snapshots anyway from another thread. Any exclusive
+  // acquisition in the read path would spin forever here (and ctest's
+  // timeout would flag it).
   ShardedEngine engine(small_config());
   const auto session = engine.connect({{0, 0}, {{3, 0}}});
   ASSERT_TRUE(session.has_value());
 
-  std::vector<std::unique_lock<std::mutex>> held;
-  held.reserve(engine.shard_count());
-  for (std::size_t s = 0; s < engine.shard_count(); ++s) {
-    held.emplace_back(engine.shard_mutex(s));
-  }
-
   std::vector<EngineHealthSnapshot> snapshots;
-  std::thread reader([&] { snapshots = engine.health_snapshots(); });
-  reader.join();
+  std::size_t held = 0;
+  // Nest with_shard_exclusive across all shards on this thread, so every
+  // claim is held at once while the reader runs.
+  std::function<void(std::size_t)> hold = [&](std::size_t shard) {
+    if (shard == engine.shard_count()) {
+      std::thread reader([&] { snapshots = engine.health_snapshots(); });
+      reader.join();
+      return;
+    }
+    engine.with_shard_exclusive(shard, [&] {
+      ++held;
+      hold(shard + 1);
+    });
+  };
+  hold(0);
+  EXPECT_EQ(held, engine.shard_count());
 
   ASSERT_EQ(snapshots.size(), engine.shard_count());
   std::uint64_t sessions = 0;

@@ -13,7 +13,8 @@
 // even when the assertion happens to pass.
 //
 // Structure: one writer thread churns sessions through the public engine API
-// (mutex mode and executor mode both covered); reader threads continuously
+// (with no executor, and with one attached that runs every other cycle on a
+// worker); reader threads continuously
 // (a) probe ids the writer has retired -- handed over through a seqlock-ish
 // release/acquire mailbox -- and assert they never validate, and (b) probe
 // the writer's latest-live mailbox, where BOTH outcomes are legal (the probe
@@ -53,7 +54,10 @@ struct IdMailbox {
   }
 };
 
-void hammer(ShardedEngine& engine, std::size_t seconds_budget_ops) {
+/// `ship` (optional): run every other connect/disconnect cycle as a task on
+/// this executor, so the table writes come from a worker thread too.
+void hammer(ShardedEngine& engine, std::size_t seconds_budget_ops,
+            ShardExecutor* ship = nullptr) {
   const std::size_t shard_count = engine.shard_count();
   // Per-shard mailboxes: retired ids (must NEVER validate) and live ids
   // (may validate; if so, must decode exactly).
@@ -108,8 +112,29 @@ void hammer(ShardedEngine& engine, std::size_t seconds_budget_ops) {
   for (std::size_t i = 0; i < seconds_budget_ops; ++i) {
     const std::size_t port = i % engine.port_count();
     const auto lane = static_cast<Wavelength>(i % 2);
-    const auto session =
-        engine.connect({{port, lane}, {{(port + 3) % engine.port_count(), lane}}});
+    const MulticastRequest request{
+        {port, lane}, {{(port + 3) % engine.port_count(), lane}}};
+    if (ship != nullptr && i % 2 == 1) {
+      const auto shard = static_cast<std::uint32_t>(engine.shard_of(port));
+      int outcome = 0;  // 0 blocked, 1 cycled, 2 live id rejected
+      auto cycle = [&] {
+        const auto id = engine.connect_locked(shard, request);
+        if (!id) return;
+        live[shard].post({shard, *id});
+        outcome = engine.disconnect_locked(shard, *id) ? 1 : 2;
+        retired[shard].post({shard, *id});
+      };
+      OpTicket ticket;
+      ship->submit_task(
+          shard,
+          [](void* body, std::uint64_t) { (*static_cast<decltype(cycle)*>(body))(); },
+          &cycle, 0, &ticket);
+      ticket.wait();
+      ASSERT_NE(outcome, 2);
+      if (outcome == 1) ++cycles;
+      continue;
+    }
+    const auto session = engine.connect(request);
     if (!session) continue;
     live[session->shard].post(*session);
     ASSERT_TRUE(engine.disconnect(*session));
@@ -133,12 +158,15 @@ TEST(StaleReadHammer, MutexModeNeverValidatesAStaleId) {
 }
 
 TEST(StaleReadHammer, ExecutorModeNeverValidatesAStaleId) {
-  // Same race with the single-writer executor attached: the writer's ops
-  // ship through shard queues and execute on workers, so the reader races
-  // the table updates against a different thread than the submitter.
+  // Same race with the single-writer executor attached: every other cycle
+  // ships through a shard queue and executes on a worker, so the readers
+  // race table updates from worker threads as well as from the submitter's
+  // inline claims.
   ShardedEngine engine(hammer_config());
   ShardExecutor executor(engine, {.workers = 2, .queue_capacity = 64});
-  hammer(engine, 12000);
+  hammer(engine, 12000, &executor);
+  executor.quiesce();
+  EXPECT_GT(executor.executed_ops(), 0u);
 }
 
 TEST(StaleReadHammer, GrowRenewalsRetireTheOldIdAtomically) {
