@@ -40,6 +40,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -52,6 +53,8 @@
 #include "faults/availability.h"
 #include "multistage/builder.h"
 #include "multistage/network.h"
+#include "multistage/nonblocking.h"
+#include "multistage/routing.h"
 #include "obs/telemetry.h"
 #include "sim/blocking_sim.h"
 #include "sim/converter_pool.h"
@@ -60,6 +63,7 @@
 #include "util/cli.h"
 #include "util/json_lite.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 #include "util/trace_span.h"
@@ -186,6 +190,123 @@ BenchResult bench_routing_hotpath(bool tiny) {
                                   {"steps", config.steps}},
                                  {{"construction", "msw-dominant"}});
   result.ok = stats.blocked == 0;  // at the Theorem 1 bound: never blocks
+  return result;
+}
+
+/// A random MSW request with fanout in [1, max_fanout] on one lane, drawn
+/// by rejection. At partial load this costs O(fanout) draws, where
+/// random_admissible_request's scan of every free endpoint (1M at
+/// n = r = 128, k = 64) would be most of the run.
+std::optional<MulticastRequest> draw_msw_request(Rng& rng,
+                                                 const ThreeStageNetwork& network,
+                                                 std::size_t max_fanout) {
+  const std::size_t ports = network.params().port_count();
+  const auto lane = static_cast<Wavelength>(rng.next_below(network.params().k));
+  const auto free_port = [&](auto&& busy) -> std::optional<std::size_t> {
+    for (int attempt = 0; attempt < 64; ++attempt) {
+      const std::size_t port = rng.next_below(ports);
+      if (!busy(WavelengthEndpoint{port, lane})) return port;
+    }
+    return std::nullopt;
+  };
+  const auto input = free_port([&](const WavelengthEndpoint& e) {
+    return network.input_busy(e);
+  });
+  if (!input) return std::nullopt;
+  MulticastRequest request{{*input, lane}, {}};
+  const std::size_t fanout = 1 + rng.next_below(max_fanout);
+  while (request.outputs.size() < fanout) {
+    const auto output = free_port([&](const WavelengthEndpoint& e) {
+      if (network.output_busy(e)) return true;
+      for (const auto& out : request.outputs) {
+        if (out.port == e.port) return true;
+      }
+      return false;
+    });
+    if (!output) break;
+    request.outputs.push_back({*output, lane});
+  }
+  if (request.outputs.empty()) return std::nullopt;
+  return request;
+}
+
+BenchResult bench_routing_wide(bool tiny) {
+  // Cover-search cost against m at the soak geometry's fabric (n = r = 128,
+  // k = 64, MSW-dominant/MSW): m = 136 and m = 936, the Theorem 1 bound.
+  // Each m gets a fresh network partly loaded with fanout 1-4 sessions,
+  // then timed connect/disconnect churn at that load; the per-m
+  // routing.find_route p50 and the share of one-middle (full-cover)
+  // routes go into params. Report only: no wall-clock gate. The emitted
+  // metrics are the last (m = 936) run's.
+  const std::size_t n = 128;
+  const std::size_t k = 64;
+  const std::size_t fill = tiny ? 256 : 32768;
+  const std::size_t probes = tiny ? 256 : 20000;
+  const std::size_t max_fanout = 4;
+  const std::size_t spread =
+      Router::recommended_policy({n, n, n, k}, Construction::kMswDominant)
+          .max_spread;
+  struct PerM {
+    std::size_t m;
+    std::size_t p50_ns = 0;
+    std::size_t routed = 0;
+    std::size_t full_cover = 0;
+    bool ok = false;
+  };
+  std::vector<PerM> runs{{136}, {theorem1_min_m(n, n).m}};
+  for (PerM& run : runs) {
+    ThreeStageNetwork network({n, n, run.m, k}, Construction::kMswDominant,
+                              MulticastModel::kMSW);
+    Router router(network, {spread, RouteSearch::kExhaustive, LanePolicy::kFirstFit});
+    Rng rng(0x5EED);
+    std::vector<ConnectionId> live;
+    live.reserve(fill);
+    for (std::size_t draw = 0; draw < 4 * fill && live.size() < fill; ++draw) {
+      if (const auto request = draw_msw_request(rng, network, max_fanout)) {
+        if (const auto id = router.try_connect(*request)) live.push_back(*id);
+      }
+    }
+    metrics().reset();
+    std::size_t blocked = 0;
+    for (std::size_t probe = 0; probe < probes && !live.empty(); ++probe) {
+      const auto request = draw_msw_request(rng, network, max_fanout);
+      if (!request) continue;
+      const auto id = router.try_connect(*request);
+      if (!id) {
+        ++blocked;
+        continue;
+      }
+      ++run.routed;
+      if (network.find_connection(*id)->second.branches.size() == 1) {
+        ++run.full_cover;
+      }
+      // Keep the load level: retire a random standing session per admit.
+      const std::size_t victim = rng.next_below(live.size());
+      router.disconnect(live[victim]);
+      live[victim] = *id;
+    }
+    run.p50_ns = metrics().timer("routing.find_route").percentile_ns(0.5);
+    run.ok = live.size() == fill && run.routed > 0 && blocked == 0;
+    network.self_check();
+  }
+
+  BenchResult result;
+  result.params_json = params_of({{"n", n},
+                                  {"r", n},
+                                  {"k", k},
+                                  {"spread", spread},
+                                  {"fill_sessions", fill},
+                                  {"probes", probes},
+                                  {"m_low", runs[0].m},
+                                  {"m_bound", runs[1].m},
+                                  {"find_route_p50_ns_m_low", runs[0].p50_ns},
+                                  {"find_route_p50_ns_m_bound", runs[1].p50_ns},
+                                  {"full_cover_m_low", runs[0].full_cover},
+                                  {"full_cover_m_bound", runs[1].full_cover},
+                                  {"routed_m_low", runs[0].routed},
+                                  {"routed_m_bound", runs[1].routed}},
+                                 {{"construction", "msw-dominant"}});
+  result.ok = runs[0].ok && runs[1].ok;
   return result;
 }
 
@@ -698,6 +819,9 @@ const std::vector<BenchCase>& bench_cases() {
       {"routing_hotpath",
        "scale-up churn (n=8, r=16, k=8) stressing the connect/disconnect path",
        bench_routing_hotpath},
+      {"routing_wide",
+       "cover-search cost at n=r=128, k=64: m=136 vs the Theorem 1 bound 936",
+       bench_routing_wide},
       {"routing_repack",
        "repack-on-block churn at half the Theorem 1 middle stage",
        bench_routing_repack},

@@ -392,9 +392,10 @@ GrowResult ShardedEngine::grow_locked(std::size_t shard, ConnectionId id,
   }
 
   // Copies must be taken before the release: the entry is decode scratch.
+  // The request is copied once: `grown` is the original plus one
+  // destination, so a rollback pops that destination again.
   MulticastRequest grown = entry->first;
   grown.outputs.push_back(destination);
-  const MulticastRequest original_request = entry->first;
   const Route original_route = entry->second;
 
   // Break-before-make: the grown request reuses the session's own input
@@ -417,7 +418,8 @@ GrowResult ShardedEngine::grow_locked(std::size_t shard, ConnectionId id,
   // Roll back. The release freed exactly the original route's resources and
   // the failed try_connect installed nothing, so reinstalling the original
   // route over the original request cannot fail.
-  const ConnectionId restored = network.install(original_request, original_route);
+  grown.outputs.pop_back();
+  const ConnectionId restored = network.install(grown, original_route);
   note_session_released(owner, id);
   note_session_active(owner, restored);
   counters.grow_blocked.add();

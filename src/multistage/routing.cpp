@@ -67,7 +67,12 @@ Router::Router(ThreeStageNetwork& network, RoutingPolicy policy)
 
   cand_words_ = network_->row_words();
   cand_mask_.assign(cand_words_, 0);
+  full_cover_.assign(cand_words_, 0);
+  const std::size_t levels = std::min(policy_.max_spread, params.r);
   gain_by_mid_.assign(params.m, 0);
+  gain_start_.assign(params.r + 1, 0);
+  options_.assign(levels * params.m, 0);
+  newly_stack_.assign(levels * ((params.r + 63) / 64), 0);
 }
 
 RoutingPolicy Router::recommended_policy(const ClosParams& params,
@@ -183,6 +188,7 @@ bool Router::gather_rows(std::size_t in_module, Wavelength source_lane) const {
       });
     }
     cand_mask_[w] = word;
+    full_cover_[w] = word;
     n_candidates += static_cast<std::size_t>(std::popcount(word));
   }
   counters.candidates_per_attempt.record(n_candidates);
@@ -190,6 +196,7 @@ bool Router::gather_rows(std::size_t in_module, Wavelength source_lane) const {
 
   // serves_ row t = the serve row of target t under its link-lane
   // requirement AND the candidate mask, then fault-filtered like above.
+  // The same pass ANDs every row into full_cover_ for the root's fast path.
   const std::size_t n_targets = targets_.size();
   if (serves_.size() < n_targets * cand_words_) serves_.resize(n_targets * cand_words_);
   for (std::size_t t = 0; t < n_targets; ++t) {
@@ -208,6 +215,7 @@ bool Router::gather_rows(std::size_t in_module, Wavelength source_lane) const {
         });
       }
       row[w] = word;
+      full_cover_[w] &= word;
     }
   }
   return true;
@@ -223,16 +231,12 @@ const Route* Router::cover_and_materialize(const MulticastRequest& request) cons
   // --- cover search: at most max_spread middles covering all targets ------
   // serves_ is target-major over middle indices and cand_mask_/chosen_mask_
   // are middle masks, so "servers of t" and "options at a pivot" are word
-  // scans. The search visits middles in the same ascending order (and breaks
-  // gain ties the same way) as the candidate-index formulation it replaced,
-  // so every routing decision is unchanged.
+  // scans. Both searches try middles in the specified order: coverage gain
+  // (uncovered targets served) descending, then middle index ascending.
   chosen_.clear();
   chosen_mask_.assign(cand_words_, 0);
   covered_.assign(serve_words, 0);
   std::size_t uncovered = n_targets;
-  if (newly_stack_.size() < policy_.max_spread * serve_words) {
-    newly_stack_.resize(policy_.max_spread * serve_words);
-  }
 
   const auto serves_bit = [&](std::size_t t, std::size_t j) {
     return ((serves_[t * cand_words_ + (j >> 6)] >> (j & 63)) & 1u) != 0;
@@ -272,9 +276,24 @@ const Route* Router::cover_and_materialize(const MulticastRequest& request) cons
       uncovered += static_cast<std::size_t>(std::popcount(newly[w]));
     }
   };
+  // Full-cover fast path: a middle in full_cover_ serves every uncovered
+  // target, so its gain is the maximum and the lowest such middle is the
+  // specified order's first pick -- and it completes the cover. m_total =
+  // none (the row's padding bits beyond m are always zero).
+  const auto lowest_full_cover = [&]() -> std::size_t {
+    for (std::size_t w = 0; w < cand_words_; ++w) {
+      if (full_cover_[w] != 0) {
+        return w * 64 + static_cast<std::size_t>(std::countr_zero(full_cover_[w]));
+      }
+    }
+    return m_total;
+  };
 
   bool found = false;
-  if (policy_.search == RouteSearch::kGreedy) {
+  if (const std::size_t j = lowest_full_cover(); n_targets > 0 && j != m_total) {
+    apply(j);  // gather_rows filled full_cover_ for the root
+    found = true;
+  } else if (policy_.search == RouteSearch::kGreedy) {
     while (uncovered > 0 && chosen_.size() < policy_.max_spread) {
       std::size_t best = m_total;
       std::size_t best_gain = 0;
@@ -298,21 +317,22 @@ const Route* Router::cover_and_materialize(const MulticastRequest& request) cons
   } else {
     // Exhaustive: branch on the uncovered target with the fewest servers;
     // complete because any cover must include one of that target's servers.
-    if (options_stack_.size() < policy_.max_spread) {
-      options_stack_.resize(policy_.max_spread);
-    }
     auto dfs = [&](auto&& self) -> bool {
       if (uncovered == 0) return true;
       if (chosen_.size() >= policy_.max_spread) return false;
+      // One pass over the uncovered rows finds the pivot and refills
+      // full_cover_ for this level's fast path.
+      for (std::size_t w = 0; w < cand_words_; ++w) full_cover_[w] = ~chosen_mask_[w];
       std::size_t pivot = n_targets;
       std::size_t pivot_servers = m_total + 1;
-      {
       for (std::size_t t = 0; t < n_targets; ++t) {
         if (test_bit(covered_, t)) continue;
         const std::uint64_t* row = serves_.data() + t * cand_words_;
         std::size_t servers = 0;
         for (std::size_t w = 0; w < cand_words_; ++w) {
-          servers += static_cast<std::size_t>(std::popcount(row[w] & ~chosen_mask_[w]));
+          const std::uint64_t word = row[w] & ~chosen_mask_[w];
+          full_cover_[w] &= word;
+          servers += static_cast<std::size_t>(std::popcount(word));
         }
         if (servers == 0) return false;  // dead end
         if (servers < pivot_servers) {
@@ -320,28 +340,25 @@ const Route* Router::cover_and_materialize(const MulticastRequest& request) cons
           pivot = t;
         }
       }
+      if (const std::size_t j = lowest_full_cover(); j != m_total) {
+        apply(j);
+        return true;
       }
-      // Try the pivot's servers, highest additional coverage first. Gains
-      // are cached per middle before sorting: covered_ is constant while the
-      // sort runs, so the cached comparator is value-identical to a live
-      // recompute and std::sort yields the identical permutation.
-      std::vector<std::uint16_t>& options = options_stack_[chosen_.size()];
-      options.clear();
+
+      // The pivot's servers (its unchosen serves_ bits) are this level's
+      // options; for_each_option visits them in ascending middle index.
       const std::uint64_t* prow = serves_.data() + pivot * cand_words_;
-      for (std::size_t w = 0; w < cand_words_; ++w) {
-        std::uint64_t word = prow[w] & ~chosen_mask_[w];
-        while (word != 0) {
-          options.push_back(static_cast<std::uint16_t>(
-              w * 64 + static_cast<std::size_t>(std::countr_zero(word))));
-          word &= word - 1;
+      const auto for_each_option = [&](auto&& visit) {
+        for (std::size_t w = 0; w < cand_words_; ++w) {
+          for (std::uint64_t word = prow[w] & ~chosen_mask_[w]; word != 0;
+               word &= word - 1) {
+            visit(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+          }
         }
-      }
-      // Gains without per-(option, target) probing. Both variants produce
-      // values identical to coverage_gain(j) for every j in options (options
-      // exclude chosen middles, and non-option slots hold garbage the sort
-      // never reads), so the std::sort permutation -- and with it every
-      // pinned golden -- is unchanged.
-      {
+      };
+      // Gains without per-(option, target) probing; both variants leave
+      // gain_by_mid_[j] = coverage_gain(j) for every option j (other slots
+      // hold garbage nothing reads).
       if (cand_words_ == 1 && n_targets < 64) {
         // Bit-sliced: carry-save-add each uncovered serve row into sum
         // planes p0..p5 (plane b holds bit b of every middle's count), then
@@ -360,17 +377,17 @@ const Route* Router::cover_and_materialize(const MulticastRequest& request) cons
           c = p4 & x; p4 ^= x; x = c;
           p5 ^= x;  // < 64 rows: plane 5 cannot carry out
         }
-        for (const std::uint16_t j : options) {
-          gain_by_mid_[j] = static_cast<std::uint16_t>(
+        for_each_option([&](std::size_t j) {
+          gain_by_mid_[j] = static_cast<std::uint32_t>(
               ((p0 >> j) & 1) | (((p1 >> j) & 1) << 1) |
               (((p2 >> j) & 1) << 2) | (((p3 >> j) & 1) << 3) |
               (((p4 >> j) & 1) << 4) | (((p5 >> j) & 1) << 5));
-        }
+        });
       } else {
         // Transposed fallback for wide candidate sets or huge fanout: walk
         // each uncovered target's serve row once, bumping the gain of every
         // middle bit in it.
-        for (const std::uint16_t j : options) gain_by_mid_[j] = 0;
+        for_each_option([&](std::size_t j) { gain_by_mid_[j] = 0; });
         for (std::size_t t = 0; t < n_targets; ++t) {
           if (test_bit(covered_, t)) continue;
           const std::uint64_t* row = serves_.data() + t * cand_words_;
@@ -384,15 +401,25 @@ const Route* Router::cover_and_materialize(const MulticastRequest& request) cons
           }
         }
       }
+      // Counting sort into the specified order: gains lie in [1, uncovered]
+      // (every option serves the uncovered pivot), bucket starts run by
+      // descending gain, and the ascending scatter keeps index order within
+      // a gain.
+      std::uint32_t* start = gain_start_.data();
+      std::fill(start, start + uncovered + 1, 0u);
+      for_each_option([&](std::size_t j) { ++start[gain_by_mid_[j]]; });
+      std::uint32_t n_options = 0;
+      for (std::size_t g = uncovered + 1; g-- > 0;) {
+        const std::uint32_t count = start[g];
+        start[g] = n_options;
+        n_options += count;
       }
-      {
-      std::sort(options.begin(), options.end(),
-                [&](std::uint16_t a, std::uint16_t b) {
-                  return gain_by_mid_[a] > gain_by_mid_[b];
-                });
-      }
-      for (const std::size_t j : options) {
-        apply(j);
+      std::uint32_t* options = options_.data() + chosen_.size() * m_total;
+      for_each_option([&](std::size_t j) {
+        options[start[gain_by_mid_[j]]++] = static_cast<std::uint32_t>(j);
+      });
+      for (std::uint32_t i = 0; i < n_options; ++i) {
+        apply(options[i]);
         if (self(self)) return true;
         undo();
       }

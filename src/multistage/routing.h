@@ -22,6 +22,13 @@
 // A greedy most-coverage-first variant exists for ablation; it can block
 // where the exhaustive search would not.
 //
+// Both searches pick middles in one specified order: the middle covering
+// the most still-uncovered targets first, ties broken by the lower middle
+// index. When one middle serves every uncovered target, the AND of those
+// targets' serve rows names it directly (its lowest set bit is the order's
+// first pick), so the common single-middle route costs one pass over the
+// rows and no branching (the full-cover fast path).
+//
 // Hot-path data layout (see DESIGN.md): the candidate and serve sets are
 // gathered from the network's always-live middle-stage rows (m-bit word
 // masks, ThreeStageNetwork::candidate_row/serve_row), so no request probes
@@ -151,23 +158,30 @@ class Router {
   // can feed target t (target-major over middle-module indices; bits of
   // non-candidate middles are zero). covered_/assigned_ are word masks over
   // targets; cand_mask_/chosen_mask_ are word masks over middles (the
-  // candidate set and the middles already chosen). chosen_ holds middle
-  // module indices. gain_by_mid_[j] caches coverage gains for the
-  // cover-search option sort; uint16 keeps the whole array within a cache
-  // line or two (gains are bounded by the target count, indices by m).
+  // candidate set and the middles already chosen). full_cover_ is the AND
+  // of the uncovered targets' serves_ rows over unchosen middles: the
+  // middles that alone complete the cover. chosen_ holds middle module
+  // indices.
   mutable std::vector<std::uint64_t> serves_;
   mutable std::vector<std::uint64_t> covered_;
   mutable std::vector<std::uint64_t> assigned_;
   mutable std::vector<std::uint64_t> cand_mask_;
   mutable std::vector<std::uint64_t> chosen_mask_;
+  mutable std::vector<std::uint64_t> full_cover_;
   mutable std::vector<std::size_t> chosen_;
-  mutable std::vector<std::uint16_t> gain_by_mid_;
+  // Counting sort of a pivot's options into the specified order, sized at
+  // construction: gain_by_mid_[j] is middle j's coverage gain (only option
+  // slots are meaningful), gain_start_ holds one bucket per gain value
+  // (gains never exceed the target count, so r + 1 buckets), and
+  // options_ holds each DFS level's sorted options in its own m-entry
+  // stripe (a search is at most min(max_spread, r) levels deep: every level
+  // covers a new target).
+  mutable std::vector<std::uint32_t> gain_by_mid_;
+  mutable std::vector<std::uint32_t> gain_start_;
+  mutable std::vector<std::uint32_t> options_;
   // Per-DFS-level scratch: the targets newly covered at each level (word
-  // mask rows) and each level's candidate option list (middle indices;
-  // uint16 halves the sort's element moves without touching its permutation,
-  // which depends only on the comparator's gain values).
+  // mask rows).
   mutable std::vector<std::uint64_t> newly_stack_;
-  mutable std::vector<std::vector<std::uint16_t>> options_stack_;
   // Scratch result route, rebuilt in place for every request.
   mutable Route route_;
   mutable RoutePool route_pool_;

@@ -31,10 +31,13 @@ std::vector<std::vector<std::size_t>> conflict_graph(
   return adjacency;
 }
 
-std::vector<std::vector<std::size_t>> schedule_rounds_greedy(
-    const std::vector<Session>& sessions) {
-  const auto adjacency = conflict_graph(sessions);
-  std::vector<std::size_t> order(sessions.size());
+namespace {
+
+/// Vertex indices by degree descending, then index ascending: a total
+/// order, so the schedule never depends on the sort's tie handling.
+std::vector<std::size_t> degree_order(
+    const std::vector<std::vector<std::size_t>>& adjacency) {
+  std::vector<std::size_t> order(adjacency.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     if (adjacency[a].size() != adjacency[b].size()) {
@@ -42,6 +45,15 @@ std::vector<std::vector<std::size_t>> schedule_rounds_greedy(
     }
     return a < b;
   });
+  return order;
+}
+
+}  // namespace
+
+std::vector<std::vector<std::size_t>> schedule_rounds_greedy(
+    const std::vector<Session>& sessions) {
+  const auto adjacency = conflict_graph(sessions);
+  const std::vector<std::size_t> order = degree_order(adjacency);
 
   std::vector<int> color(sessions.size(), -1);
   int colors_used = 0;
@@ -111,11 +123,7 @@ std::optional<std::size_t> minimum_rounds_exact(const std::vector<Session>& sess
                                                 std::uint64_t node_budget) {
   if (sessions.empty()) return 0;
   const auto adjacency = conflict_graph(sessions);
-  std::vector<std::size_t> order(sessions.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return adjacency[a].size() > adjacency[b].size();
-  });
+  const std::vector<std::size_t> order = degree_order(adjacency);
   const std::size_t upper = schedule_rounds_greedy(sessions).size();
   for (std::size_t limit = 1; limit <= upper; ++limit) {
     std::uint64_t budget = node_budget;

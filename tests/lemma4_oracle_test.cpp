@@ -12,7 +12,10 @@
 // never told about them -- it checks:
 //   * the exhaustive router finds a route iff the oracle finds a cover;
 //   * every route found (exhaustive or greedy) passes check_route;
-//   * a greedy route implies the oracle has a cover.
+//   * a greedy route implies the oracle has a cover;
+//   * when some single candidate serves every target, both searches route
+//     through exactly one branch, on the lowest-indexed such middle (the
+//     first pick of the router's gain-then-index order).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,10 +47,16 @@ bool link_has_usable_free_lane(const SwitchModule& module, std::size_t port,
   return false;
 }
 
+struct OracleAnswer {
+  bool cover = false;
+  /// The lowest-indexed candidate that alone serves every target, if any.
+  std::optional<std::size_t> single;
+};
+
 /// Brute-force Lemma 4: is there a set of at most `x` candidate middles
 /// such that every target output module is served by one of them?
-bool oracle_has_cover(const ThreeStageNetwork& network,
-                      const MulticastRequest& request, std::size_t x) {
+OracleAnswer oracle_has_cover(const ThreeStageNetwork& network,
+                              const MulticastRequest& request, std::size_t x) {
   const ClosParams& params = network.params();
   const FaultModel* faults = network.active_fault_model();
   const bool msw_dominant = network.construction() == Construction::kMswDominant;
@@ -69,7 +78,7 @@ bool oracle_has_cover(const ThreeStageNetwork& network,
     for (std::size_t t = 0; t < targets.size(); ++t) {
       if (targets[t] != p) continue;
       seen = true;
-      if (needed[t] != lane) return false;  // MSW output module cannot convert
+      if (needed[t] != lane) return {};  // MSW output module cannot convert
     }
     if (!seen) {
       targets.push_back(p);
@@ -114,7 +123,21 @@ bool oracle_has_cover(const ThreeStageNetwork& network,
     }
     return false;
   };
-  return !candidates.empty() && search(search, 0, x, 0);
+  OracleAnswer answer;
+  answer.cover = !candidates.empty() && search(search, 0, x, 0);
+  for (std::size_t c = 0; c < candidates.size() && !answer.single; ++c) {
+    if (serves[c] == all) answer.single = candidates[c];
+  }
+  return answer;
+}
+
+/// A route through exactly one branch, on `middle`.
+void expect_single_branch(const Route& route, std::size_t middle,
+                          const char* search) {
+  ASSERT_EQ(route.branches.size(), 1u)
+      << search << " split a request one middle covers: " << route.to_string();
+  EXPECT_EQ(route.branches.front().middle, middle)
+      << search << " skipped the lowest full-cover middle: " << route.to_string();
 }
 
 /// A random failure anywhere in the three-stage component space.
@@ -137,6 +160,7 @@ FaultComponent random_fault(Rng& rng, const ClosParams& params) {
 struct OracleTally {
   std::size_t covers = 0;   // probes the oracle could route
   std::size_t blocks = 0;   // probes it proved blocked
+  std::size_t singles = 0;  // probes one candidate could route alone
 };
 
 /// One random case: geometry, spread, churned occupancy, optional faults.
@@ -183,23 +207,26 @@ void run_case(std::uint64_t seed, Construction construction,
         rng, network, FanoutRange{1, params.n * params.r});
     if (!request) continue;
 
-    const bool cover = oracle_has_cover(network, *request, x);
-    (cover ? tally.covers : tally.blocks) += 1;
+    const OracleAnswer oracle = oracle_has_cover(network, *request, x);
+    (oracle.cover ? tally.covers : tally.blocks) += 1;
+    if (oracle.single) ++tally.singles;
 
     const auto greedy_route = greedy.find_route(*request);
     if (greedy_route) {
-      EXPECT_TRUE(cover) << "greedy routed what the oracle calls blocked: "
-                         << request->to_string();
+      EXPECT_TRUE(oracle.cover) << "greedy routed what the oracle calls blocked: "
+                                << request->to_string();
       EXPECT_EQ(network.check_route(*request, *greedy_route), std::nullopt);
+      if (oracle.single) expect_single_branch(*greedy_route, *oracle.single, "greedy");
     }
 
     const auto route = exhaustive.find_route(*request);
-    ASSERT_EQ(route.has_value(), cover)
+    ASSERT_EQ(route.has_value(), oracle.cover)
         << "exhaustive router disagrees with the Lemma 4 oracle on "
         << request->to_string();
     if (!route) continue;
     ASSERT_EQ(network.check_route(*request, *route), std::nullopt)
         << route->to_string();
+    if (oracle.single) expect_single_branch(*route, *oracle.single, "exhaustive");
     live.push_back(network.install(*request, *route));
     if (step % 16 == 0) network.self_check();
   }
@@ -214,9 +241,12 @@ void run_model(Construction construction, MulticastModel model,
              std::nullopt, tally);
     if (::testing::Test::HasFatalFailure()) return;
   }
-  // Non-vacuity: the cases must exercise both answers.
+  // Non-vacuity: the cases must exercise both answers, and single-middle
+  // covers as well as covers that need several middles.
   EXPECT_GT(tally.covers, 100u);
   EXPECT_GT(tally.blocks, 10u);
+  EXPECT_GT(tally.singles, 50u);
+  EXPECT_GT(tally.covers - tally.singles, 10u);
 }
 
 TEST(Lemma4Oracle, MswDominantMswModel) {
@@ -253,6 +283,7 @@ TEST(Lemma4Oracle, TwoWordRowsMatchOracle) {
     }
   }
   EXPECT_GT(tally.covers, 100u);
+  EXPECT_GT(tally.singles, 50u);
 }
 
 TEST(Lemma4Oracle, FaultsInjectedAfterAttachMatchOracle) {
@@ -288,12 +319,13 @@ TEST(Lemma4Oracle, FaultsInjectedAfterAttachMatchOracle) {
         }
         const auto request = random_admissible_request(rng, network, {1, 4});
         if (!request) continue;
-        const bool cover = oracle_has_cover(network, *request, 2);
-        (cover ? tally.covers : tally.blocks) += 1;
+        const OracleAnswer oracle = oracle_has_cover(network, *request, 2);
+        (oracle.cover ? tally.covers : tally.blocks) += 1;
         const auto route = router.find_route(*request);
-        ASSERT_EQ(route.has_value(), cover) << request->to_string();
+        ASSERT_EQ(route.has_value(), oracle.cover) << request->to_string();
         if (route) {
           EXPECT_EQ(network.check_route(*request, *route), std::nullopt);
+          if (oracle.single) expect_single_branch(*route, *oracle.single, "exhaustive");
         }
       }
       network.self_check();
