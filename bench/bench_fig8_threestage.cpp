@@ -48,7 +48,7 @@ int main() {
   const auto id = sw.try_connect({{11, 1}, {{0, 1}, {10, 1}}});
   ok = ok && id.has_value();
   if (id) {
-    const Route& route = sw.network().connections().at(*id).second;
+    const Route route = sw.network().connections().at(*id).route();
     std::cout << "\ncorner-to-corner multicast routed: " << route.to_string()
               << "\n";
     sw.network().self_check();

@@ -277,7 +277,7 @@ BenchResult bench_routing_wide(bool tiny) {
         continue;
       }
       ++run.routed;
-      if (network.find_connection(*id)->second.branches.size() == 1) {
+      if (network.connections().at(*id).spread() == 1) {
         ++run.full_cover;
       }
       // Keep the load level: retire a random standing session per admit.

@@ -46,7 +46,7 @@ int main() {
     return 1;
   }
   std::cout << "multicast routed as: "
-            << clos.network().connections().at(*id).second.to_string() << "\n";
+            << clos.network().connections().at(*id).route().to_string() << "\n";
   clos.network().self_check();
   std::cout << "network state self-check: OK\n";
 

@@ -110,19 +110,19 @@ std::string network_state_to_json(const ThreeStageNetwork& network) {
 
   os << "\"connections\":[";
   bool first = true;
-  for (const auto& [id, entry] : network.connections()) {
+  for (const auto& [id, view] : network.connections()) {
     if (!first) os << ",";
     first = false;
-    const auto& [request, route] = entry;
     os << "{\"id\":" << id << ",\"input\":";
-    endpoint_json(os, request.input);
+    endpoint_json(os, view.input());
     os << ",\"outputs\":[";
-    for (std::size_t i = 0; i < request.outputs.size(); ++i) {
+    const auto outputs = view.outputs();
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
       if (i != 0) os << ",";
-      endpoint_json(os, request.outputs[i]);
+      endpoint_json(os, outputs[i]);
     }
     os << "],\"route\":";
-    route_json(os, route);
+    route_json(os, view.route());
     os << "}";
   }
   os << "],";

@@ -94,8 +94,7 @@ void ChurnDriver::tick(Lane& lane) {
       instruments.request_fanout.record(request->outputs.size());
       if (const auto id = engine_->connect_locked(lane.shard, *request)) {
         ++sim.admitted;
-        sim.conversions += conversions_in_route(
-            *request, network.find_connection(*id)->second);
+        sim.conversions += conversions_in_route(network.connections().at(*id));
         lane.active.push_back(*id);
         sim.max_concurrent = std::max(sim.max_concurrent, lane.active.size());
       } else {
@@ -130,18 +129,18 @@ void ChurnDriver::grow_tick(Lane& lane, std::size_t victim) {
   ++stats.grow_attempts;
   ThreeStageNetwork& network = engine_->shard_switch(lane.shard).network();
   const ConnectionId id = lane.active[victim];
-  const auto* entry = network.find_connection(id);
-  if (entry == nullptr) {
+  if (!network.connections().contains(id)) {
     fail("ChurnDriver: lost track of a live session");
   }
-  const MulticastRequest& request = entry->first;
+  const ThreeStageNetwork::RecordView session = network.connections().at(id);
+  const auto outputs = session.outputs();
   const std::size_t N = network.port_count();
   const std::size_t k = network.lane_count();
 
   // One wavelength per output port: only ports the session does not already
   // deliver to can take the new destination.
-  auto port_used = [&request](std::size_t port) {
-    return std::any_of(request.outputs.begin(), request.outputs.end(),
+  auto port_used = [&outputs](std::size_t port) {
+    return std::any_of(outputs.begin(), outputs.end(),
                        [port](const WavelengthEndpoint& out) {
                          return out.port == port;
                        });
@@ -157,8 +156,8 @@ void ChurnDriver::grow_tick(Lane& lane, std::size_t victim) {
       // destination lane. Both pin every destination to one lane.
       const Wavelength lane_required = network.network_model() ==
                                                MulticastModel::kMSW
-                                           ? request.input.lane
-                                           : request.outputs.front().lane;
+                                           ? session.input().lane
+                                           : outputs[0].lane;
       for (std::size_t port = 0; port < N; ++port) {
         if (!port_used(port) &&
             (network.output_lanes_busy(port) >> lane_required & 1u) == 0) {

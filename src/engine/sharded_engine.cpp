@@ -382,8 +382,7 @@ GrowResult ShardedEngine::grow_locked(std::size_t shard, ConnectionId id,
   MultistageSwitch& sw = owner.sw;
   ThreeStageNetwork& network = sw.network();
 
-  const auto* entry = network.find_connection(id);
-  if (entry == nullptr) {
+  if (!network.connections().contains(id)) {
     counters.stale_rejected.add();
     ++owner.stale_rejected;
     owner.flight.record(obs::EngineOp::kGrow, obs::EngineOpOutcome::kStale, id);
@@ -391,12 +390,15 @@ GrowResult ShardedEngine::grow_locked(std::size_t shard, ConnectionId id,
     return {};
   }
 
-  // Copies must be taken before the release: the entry is decode scratch.
-  // The request is copied once: `grown` is the original plus one
-  // destination, so a rollback pops that destination again.
-  MulticastRequest grown = entry->first;
+  // Copies must be taken before the release frees the record: the grown
+  // request (the original plus one destination) and the record's words.
+  const ThreeStageNetwork::RecordView session = network.connections().at(id);
+  MulticastRequest& grown = owner.grow_request;
+  grown.input = session.input();
+  const auto outputs = session.outputs();
+  grown.outputs.assign(outputs.begin(), outputs.end());
   grown.outputs.push_back(destination);
-  const Route original_route = entry->second;
+  owner.grow_words.assign(session.words().begin(), session.words().end());
 
   // Break-before-make: the grown request reuses the session's own input
   // wavelength, so it is inadmissible while the session stands. The internal
@@ -417,9 +419,9 @@ GrowResult ShardedEngine::grow_locked(std::size_t shard, ConnectionId id,
 
   // Roll back. The release freed exactly the original route's resources and
   // the failed try_connect installed nothing, so reinstalling the original
-  // route over the original request cannot fail.
-  grown.outputs.pop_back();
-  const ConnectionId restored = network.install(grown, original_route);
+  // record cannot fail.
+  const ThreeStageNetwork::RecordView original(owner.grow_words, network.params().n);
+  const ConnectionId restored = network.install(original.request(), original.route());
   note_session_released(owner, id);
   note_session_active(owner, restored);
   counters.grow_blocked.add();
@@ -446,13 +448,11 @@ CrossGrowResult ShardedEngine::grow_to_shard(
   // Phase 1 (source exclusive): copy the live request. Unlike the local
   // grow, nothing is released yet -- shard replicas have independent
   // endpoints, so the grown copy can coexist with the original.
-  MulticastRequest grown;
-  bool found = false;
+  std::optional<MulticastRequest> grown;
   with_shard_exclusive(session.shard, [&] {
-    const auto* entry = source.sw.network().find_connection(session.connection);
-    if (entry != nullptr) {
-      grown = entry->first;
-      found = true;
+    const auto connections = source.sw.network().connections();
+    if (connections.contains(session.connection)) {
+      grown = connections.at(session.connection).request();
       return;
     }
     counters.stale_rejected.add();
@@ -461,15 +461,15 @@ CrossGrowResult ShardedEngine::grow_to_shard(
                          obs::EngineOpOutcome::kStale, session.connection);
     publish_health(source);
   });
-  if (!found) return {};
-  grown.outputs.push_back(destination);
+  if (!grown) return {};
+  grown->outputs.push_back(destination);
 
   // Phase 2 (target exclusive): admit the grown copy. A migration, not a
   // fresh admission -- it bumps no connect tallies; a refusal counts as a
   // blocked grow on the shard that refused.
   std::optional<ConnectionId> grown_id;
   with_shard_exclusive(target, [&] {
-    grown_id = dest.sw.try_connect(grown);
+    grown_id = dest.sw.try_connect(*grown);
     if (grown_id) {
       note_session_active(dest, *grown_id);
       dest.flight.record(obs::EngineOp::kMigrateIn,

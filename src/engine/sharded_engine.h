@@ -286,6 +286,10 @@ class ShardedEngine {
     obs::SeqlockSnapshotSlot health;
     /// Reusable encode buffer (sized once, so publishing allocates nothing).
     std::vector<std::uint64_t> encode_scratch;
+    /// grow_locked's scratch, reused once warm: the grown request, and the
+    /// session's record words a rollback rebuilds the original from.
+    MulticastRequest grow_request;
+    std::vector<std::uint32_t> grow_words;
     /// Lock-free session-generation table: written at every commit point
     /// under the claim, probed by is_active/find_session from any
     /// thread with no lock (obs/session_table.h).

@@ -122,34 +122,34 @@ void ClosFabricSwitch::drive_transit(
   }
 }
 
-void ClosFabricSwitch::drive(const MulticastRequest& request, const Route& route,
-                             DrivenHardware& hardware) {
-  const std::size_t in_module = network_.input_module_of(request.input.port);
-  {
+void ClosFabricSwitch::drive(ConnectionId id) {
+  const ThreeStageNetwork::RecordView connection = network_.connections().at(id);
+  const WavelengthEndpoint input = connection.input();
+  const std::size_t in_module = network_.input_module_of(input.port);
+  const auto lanes = [](const ThreeStageNetwork::RecordView::Hops& hops) {
     std::vector<std::pair<std::size_t, Wavelength>> outs;
-    for (const RouteBranch& branch : route.branches) {
-      outs.emplace_back(branch.middle, branch.link_lane);
-    }
-    drive_transit(input_modules_[in_module],
-                  network_.local_port(request.input.port), request.input.lane,
-                  outs, hardware);
-  }
-  for (const RouteBranch& branch : route.branches) {
-    std::vector<std::pair<std::size_t, Wavelength>> outs;
-    for (const DeliveryLeg& leg : branch.legs) {
-      outs.emplace_back(leg.out_module, leg.link_lane);
-    }
-    drive_transit(middle_modules_[branch.middle], in_module, branch.link_lane,
-                  outs, hardware);
-    for (const DeliveryLeg& leg : branch.legs) {
-      std::vector<std::pair<std::size_t, Wavelength>> deliveries;
-      for (const auto& dest : leg.destinations) {
-        deliveries.emplace_back(network_.local_port(dest.port), dest.lane);
-      }
-      drive_transit(output_modules_[leg.out_module], branch.middle, leg.link_lane,
-                    deliveries, hardware);
-    }
-  }
+    for (const ModulePortLane hop : hops) outs.emplace_back(hop.port, hop.lane);
+    return outs;
+  };
+  DrivenHardware hardware;
+  drive_transit(input_modules_[in_module], network_.local_port(input.port), input.lane,
+                lanes(connection.branches()), hardware);
+  std::size_t middle = 0;
+  connection.walk(
+      [&](std::size_t j, Wavelength link_lane, const auto& legs) {
+        middle = j;
+        drive_transit(middle_modules_[j], in_module, link_lane, lanes(legs), hardware);
+      },
+      [&](std::size_t p, Wavelength link_lane, const auto& destinations) {
+        std::vector<std::pair<std::size_t, Wavelength>> deliveries;
+        for (const WavelengthEndpoint dest : destinations) {
+          deliveries.emplace_back(network_.local_port(dest.port), dest.lane);
+        }
+        drive_transit(output_modules_[p], middle, link_lane, deliveries, hardware);
+      });
+  circuit_.inject(sources_[input.port * network_.lane_count() + input.lane],
+                  static_cast<std::int64_t>(id));
+  hardware_.emplace(id, std::move(hardware));
 }
 
 std::optional<ConnectionId> ClosFabricSwitch::try_connect(
@@ -157,27 +157,14 @@ std::optional<ConnectionId> ClosFabricSwitch::try_connect(
   // Route through the logical network first (this also records the failure
   // reason); only a committed route drives physical hardware.
   const auto id = router_.try_connect(request);
-  if (!id) return std::nullopt;
-
-  const Route& route = network_.connections().at(*id).second;
-  DrivenHardware hardware;
-  drive(request, route, hardware);
-  circuit_.inject(
-      sources_[request.input.port * network_.lane_count() + request.input.lane],
-      static_cast<std::int64_t>(*id));
-  hardware_.emplace(*id, std::move(hardware));
+  if (id) drive(*id);
   return id;
 }
 
 ConnectionId ClosFabricSwitch::install_route(const MulticastRequest& request,
                                              const Route& route) {
   const ConnectionId id = network_.install(request, route);
-  DrivenHardware hardware;
-  drive(request, route, hardware);
-  circuit_.inject(
-      sources_[request.input.port * network_.lane_count() + request.input.lane],
-      static_cast<std::int64_t>(id));
-  hardware_.emplace(id, std::move(hardware));
+  drive(id);
   return id;
 }
 
@@ -186,10 +173,8 @@ void ClosFabricSwitch::disconnect(ConnectionId id) {
   if (it == hardware_.end()) {
     throw std::out_of_range("ClosFabricSwitch::disconnect: unknown connection");
   }
-  const auto& [request, route] = network_.connections().at(id);
-  (void)route;
-  circuit_.clear_injection(
-      sources_[request.input.port * network_.lane_count() + request.input.lane]);
+  const WavelengthEndpoint input = network_.connections().at(id).input();
+  circuit_.clear_injection(sources_[input.port * network_.lane_count() + input.lane]);
   for (const ComponentId gate : it->second.gates_on) circuit_.set_gate(gate, false);
   for (const ComponentId converter : it->second.converters_set) {
     circuit_.set_converter(converter, std::nullopt);
@@ -207,8 +192,8 @@ ClosFabricSwitch::VerifyReport ClosFabricSwitch::verify() const {
   }
 
   std::map<ComponentId, ConnectionId> expected;
-  for (const auto& [id, entry] : network_.connections()) {
-    for (const auto& out : entry.first.outputs) {
+  for (const auto& [id, view] : network_.connections()) {
+    for (const WavelengthEndpoint out : view.outputs()) {
       expected[sinks_[out.port * network_.lane_count() + out.lane]] = id;
     }
   }

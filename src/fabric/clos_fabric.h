@@ -71,8 +71,8 @@ class ClosFabricSwitch {
     std::vector<ComponentId> converters_set;
   };
 
-  void drive(const MulticastRequest& request, const Route& route,
-             DrivenHardware& hardware);
+  /// Drive installed connection `id`'s gates/converters and light its source.
+  void drive(ConnectionId id);
   /// Drive one module transit's gates/converters.
   void drive_transit(const ModuleCircuit& module, std::size_t in_port,
                      Wavelength in_lane,

@@ -16,22 +16,20 @@ std::string RestorationReport::to_string() const {
 }
 
 bool route_uses_faults(const ThreeStageNetwork& network,
-                       const MulticastRequest& request, const Route& route,
+                       const ThreeStageNetwork::RecordView& connection,
                        const FaultModel& faults) {
   if (!faults.any()) return false;
-  const std::size_t in_module = network.input_module_of(request.input.port);
-  for (const RouteBranch& branch : route.branches) {
-    if (faults.middle_failed(branch.middle)) return true;
-    if (!faults.link12_usable(in_module, branch.middle, branch.link_lane)) {
-      return true;
-    }
-    for (const DeliveryLeg& leg : branch.legs) {
-      if (!faults.link23_usable(branch.middle, leg.out_module, leg.link_lane)) {
-        return true;
-      }
-    }
-  }
-  return false;
+  const std::size_t in_module = network.input_module_of(connection.input().port);
+  bool uses = false;
+  connection.walk(
+      [&](std::size_t j, Wavelength lane, const auto& legs) {
+        uses = uses || faults.middle_failed(j) || !faults.link12_usable(in_module, j, lane);
+        for (const ModulePortLane leg : legs) {
+          uses = uses || !faults.link23_usable(j, leg.port, leg.lane);
+        }
+      },
+      [](auto&&...) {});
+  return uses;
 }
 
 namespace {
@@ -68,9 +66,8 @@ RestorationReport restore_connections(MultistageSwitch& sw) {
   // and tearing everything down before re-routing lets stranded connections
   // reuse each other's healthy capacity.
   std::vector<ConnectionId> stranded;
-  for (const auto& [id, entry] : network.connections()) {
-    const auto& [request, route] = entry;
-    if (route_uses_faults(network, request, route, *faults)) {
+  for (const auto& [id, view] : network.connections()) {
+    if (route_uses_faults(network, view, *faults)) {
       stranded.push_back(id);
     }
   }

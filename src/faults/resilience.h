@@ -42,11 +42,10 @@ struct RestorationReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Does this route cross any currently-failed component? `request` supplies
-/// the input endpoint (the route itself does not store its input module).
+/// Does this connection's route cross any currently-failed component?
 [[nodiscard]] bool route_uses_faults(const ThreeStageNetwork& network,
-                                     const MulticastRequest& request,
-                                     const Route& route, const FaultModel& faults);
+                                     const ThreeStageNetwork::RecordView& connection,
+                                     const FaultModel& faults);
 
 /// Re-route every active connection stranded by the network's attached
 /// fault model. No-op (empty report) when no fault model is attached or no

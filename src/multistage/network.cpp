@@ -67,12 +67,32 @@ void RoutePool::drop_last_branch(Route& route) {
   route.branches.pop_back();
 }
 
+// -- RecordView --------------------------------------------------------------
+
+MulticastRequest ThreeStageNetwork::RecordView::request() const {
+  const Endpoints endpoints = outputs();
+  return {input(), {endpoints.begin(), endpoints.end()}};
+}
+
+Route ThreeStageNetwork::RecordView::route() const {
+  Route route;
+  walk(
+      [&](std::size_t middle, Wavelength link_lane, const Hops&) {
+        route.branches.push_back({middle, link_lane, {}});
+      },
+      [&](std::size_t out_module, Wavelength link_lane, const Endpoints& destinations) {
+        route.branches.back().legs.push_back(
+            {out_module, link_lane, {destinations.begin(), destinations.end()}});
+      });
+  return route;
+}
+
 // -- ConnectionView ----------------------------------------------------------
 
 ThreeStageNetwork::ConnectionView::const_iterator::value_type
 ThreeStageNetwork::ConnectionView::const_iterator::operator*() const {
   return {make_id(slot_, network_->connection_slots_[slot_].generation),
-          network_->decode(slot_, network_->walked_)};
+          network_->view_of(slot_)};
 }
 
 ThreeStageNetwork::ConnectionView::const_iterator&
@@ -99,13 +119,12 @@ bool ThreeStageNetwork::ConnectionView::contains(ConnectionId id) const {
   return network_->slot_of(id) != kNoSlot;
 }
 
-const ThreeStageNetwork::ConnectionView::Entry&
-ThreeStageNetwork::ConnectionView::at(ConnectionId id) const {
-  const Entry* entry = network_->find_connection(id);
-  if (entry == nullptr) {
+ThreeStageNetwork::RecordView ThreeStageNetwork::ConnectionView::at(ConnectionId id) const {
+  const std::uint32_t slot = network_->slot_of(id);
+  if (slot == kNoSlot) {
     throw std::out_of_range("ThreeStageNetwork: unknown connection id");
   }
-  return *entry;
+  return network_->view_of(slot);
 }
 
 std::uint32_t ThreeStageNetwork::slot_of(ConnectionId id) const {
@@ -482,37 +501,32 @@ void ThreeStageNetwork::store_record(std::uint32_t slot,
 }
 
 template <typename Visit>
-void ThreeStageNetwork::for_each_transit(const std::uint32_t* record,
-                                         Visit&& visit) const {
-  // Each transit's outputs are contiguous record words; unpack them into the
-  // scratch.
+void ThreeStageNetwork::for_each_transit(const RecordView& view, Visit&& visit) const {
+  // Each transit's outputs are contiguous record words, module-local as
+  // stored (the views' base() spans); unpack them into the scratch.
   std::vector<ModulePortLane>& outs = portlane_scratch_;
-  const auto unpack = [&outs](const std::uint32_t* words,
-                              std::uint32_t count) -> const std::vector<ModulePortLane>& {
-    outs.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i) outs[i] = {index_of(words[i]), lane_of(words[i])};
+  const auto unpack = [&outs](RecordView::Words words) -> const auto& {
+    outs.resize(words.size());
+    for (std::size_t i = 0; i < words.size(); ++i) outs[i] = {index_of(words[i]), lane_of(words[i])};
     return outs;
   };
-  const std::size_t in_module = input_module_of(index_of(record[0]));
-  walk_record(
-      record,
-      [&](const std::uint32_t* heads, std::uint32_t branches) {
-        visit(Stage::kInput, in_module,
-              ModulePortLane{local_port(index_of(record[0])), lane_of(record[0])},
-              unpack(heads, branches));
+  const WavelengthEndpoint input = view.input();
+  const std::size_t in_module = input_module_of(input.port);
+  visit(Stage::kInput, in_module, ModulePortLane{local_port(input.port), input.lane},
+        unpack(view.branches().base()));
+  std::size_t middle = 0;
+  view.walk(
+      [&](std::size_t j, Wavelength link_lane, const RecordView::Hops& legs) {
+        middle = j;
+        visit(Stage::kMiddle, j, ModulePortLane{in_module, link_lane}, unpack(legs.base()));
       },
-      [&](std::uint32_t head, const std::uint32_t* legs, std::uint32_t count) {
-        visit(Stage::kMiddle, index_of(head), ModulePortLane{in_module, lane_of(head)},
-              unpack(legs, count));
-      },
-      [&](std::uint32_t head, std::uint32_t leg, const std::uint32_t* destinations,
-          std::uint32_t count) {
-        visit(Stage::kOutput, index_of(leg), ModulePortLane{index_of(head), lane_of(leg)},
-              unpack(destinations, count));
+      [&](std::size_t p, Wavelength link_lane, const RecordView::Endpoints& destinations) {
+        visit(Stage::kOutput, p, ModulePortLane{middle, link_lane},
+              unpack(destinations.base()));
       });
 }
 
-void ThreeStageNetwork::apply_record(const std::uint32_t* record, bool occupy) {
+void ThreeStageNetwork::apply_record(const RecordView& view, bool occupy) {
   // Row bits follow the module words: a lane just taken clears its per-lane
   // bit and leaves the any-lane bit set only while the link still has
   // another free lane; a lane just freed sets both.
@@ -520,7 +534,7 @@ void ThreeStageNetwork::apply_record(const std::uint32_t* record, bool occupy) {
     const std::uint64_t bit = 1ull << (j & 63);
     row[j >> 6] = value ? row[j >> 6] | bit : row[j >> 6] & ~bit;
   };
-  for_each_transit(record, [&](Stage stage, std::size_t module,
+  for_each_transit(view, [&](Stage stage, std::size_t module,
                                const ModulePortLane& in,
                                const std::vector<ModulePortLane>& outs) {
     std::vector<SwitchModule>& modules =
@@ -544,7 +558,7 @@ void ThreeStageNetwork::apply_record(const std::uint32_t* record, bool occupy) {
 
 ConnectionId ThreeStageNetwork::commit_slot(std::uint32_t slot,
                                             std::uint32_t prev_slot) {
-  apply_record(records_.data() + connection_slots_[slot].offset, /*occupy=*/true);
+  apply_record(view_of(slot), /*occupy=*/true);
   // Ids are nonzero because the generation is >= 1 after the bump.
   ConnectionSlot& entry = connection_slots_[slot];
   ++entry.generation;
@@ -558,8 +572,8 @@ void ThreeStageNetwork::release(ConnectionId id) {
   if (slot == kNoSlot) {
     throw std::out_of_range("ThreeStageNetwork::release: unknown connection id");
   }
+  apply_record(view_of(slot), /*occupy=*/false);
   ConnectionSlot& entry = connection_slots_[slot];
-  apply_record(records_.data() + entry.offset, /*occupy=*/false);
 
   // The block heads its size class's free list.
   const std::size_t c = block_class(entry.length);
@@ -580,41 +594,10 @@ bool ThreeStageNetwork::try_release(ConnectionId id) {
 const ThreeStageNetwork::ConnectionView::Entry* ThreeStageNetwork::find_connection(
     ConnectionId id) const {
   const std::uint32_t slot = slot_of(id);
-  return slot == kNoSlot ? nullptr : &decode(slot, found_);
-}
-
-const ThreeStageNetwork::ConnectionView::Entry& ThreeStageNetwork::decode(
-    std::uint32_t slot, ConnectionView::Entry& entry) const {
-  const std::uint32_t* record = records_.data() + connection_slots_[slot].offset;
-  const auto endpoint = [](std::uint32_t word) {
-    return WavelengthEndpoint{index_of(word), lane_of(word)};
-  };
-  auto& [request, route] = entry;
-  request.input = endpoint(record[0]);
-  request.outputs.resize(record[1]);
-  for (std::size_t i = 0; i < request.outputs.size(); ++i) {
-    request.outputs[i] = endpoint(record[2 + i]);
-  }
-  decode_pool_.recycle(route);
-  walk_record(
-      record, [](const std::uint32_t*, std::uint32_t) {},
-      [&](std::uint32_t head, const std::uint32_t*, std::uint32_t) {
-        RouteBranch& branch = decode_pool_.add_branch(route);
-        branch.middle = index_of(head);
-        branch.link_lane = lane_of(head);
-      },
-      [&](std::uint32_t, std::uint32_t leg_word, const std::uint32_t* destinations,
-          std::uint32_t count) {
-        DeliveryLeg& leg = decode_pool_.add_leg(route.branches.back());
-        leg.out_module = index_of(leg_word);
-        leg.link_lane = lane_of(leg_word);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          leg.destinations.push_back(
-              {leg.out_module * params_.n + index_of(destinations[i]),
-               lane_of(destinations[i])});
-        }
-      });
-  return entry;
+  if (slot == kNoSlot) return nullptr;
+  const RecordView view = view_of(slot);
+  found_ = {view.request(), view.route()};
+  return &found_;
 }
 
 DestinationMultiset ThreeStageNetwork::middle_destination_multiset(
@@ -653,11 +636,11 @@ void ThreeStageNetwork::self_check() const {
   for (std::uint32_t slot = head_; slot != kNoSlot;
        slot = connection_slots_[slot].next) {
     ++walked;
-    const std::uint32_t* record = records_.data() + connection_slots_[slot].offset;
-    for (std::uint32_t d = 0; d < record[1]; ++d) {
-      endpoints[index_of(record[2 + d])] |= 1ull << lane_of(record[2 + d]);
+    const RecordView view = view_of(slot);
+    for (const WavelengthEndpoint out : view.outputs()) {
+      endpoints[out.port] |= 1ull << out.lane;
     }
-    for_each_transit(record, [&](Stage stage, std::size_t module,
+    for_each_transit(view, [&](Stage stage, std::size_t module,
                                  const ModulePortLane& in,
                                  const std::vector<ModulePortLane>& outs) {
       copies[static_cast<int>(stage)][module].vacate(in, outs);

@@ -26,27 +26,30 @@
 // whose words pack index << 6 | lane: `input` and `outputs` are the
 // request's endpoints in request order, a head is (middle, link lane), a leg
 // (output module, link lane) and a destination (port local to the leg's
-// output module, lane), so each transit's outputs are module-local. The
-// decoded entries find_connection, ConnectionView::at and the view iterator
-// hand out are network scratch, valid until the next decode of the same
-// kind (at/find share one, iteration another) or the next mutation. A
-// network must not be shared across threads without external
-// synchronization (src/engine gives each shard exclusive access).
+// output module, lane), so each transit's outputs are module-local.
+// Readers see a record through a RecordView, the one parser of this layout:
+// it walks the route tree in place, and its request()/route() build values.
 //
 // Thread-safety contract, per method class:
-//   * install/reinstall/release/try_release, check_route, find_connection,
-//     ConnectionView::at and view iteration write network state or mutable
-//     scratch -- exclusive access required.
-//   * check_admissible, the *_busy queries, ConnectionView::contains/size,
-//     predecessor_of, for_each_link_lane and the topology getters read only
-//     committed state (module words, slot headers, records), so concurrent
-//     readers are safe with each other -- though still not with a
-//     concurrent writer. Lock-free session lookups go through the engine's
-//     SessionGenTable (obs/session_table.h), never through the network.
+//   * install/reinstall/release/try_release, check_route and find_connection
+//     write network state or mutable scratch -- exclusive access required.
+//     find_connection materializes a view into one network-owned entry; it
+//     is kept only for the session benchmark's mirror (sessionbench/), and
+//     in-tree readers use views instead.
+//   * check_admissible, the *_busy queries, connections() (iteration, at,
+//     contains, size), RecordView, predecessor_of and the topology getters
+//     read only committed state (module words, slot headers, records), so
+//     concurrent readers are safe with each other -- though still not with a
+//     concurrent writer, and a view is valid only until the next mutation.
+//     Lock-free session lookups go through the engine's SessionGenTable
+//     (obs/session_table.h), never through the network.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -91,10 +94,9 @@ struct Route {
 };
 
 /// Spare branches and legs whose nested vectors keep their capacity, so the
-/// Router's scratch route and the network's decoded entries are rebuilt in
-/// place, allocating nothing once warm: recycle() parks all of a route,
-/// add_branch()/add_leg() append an empty one, drop_last_branch() parks a
-/// branch that got no legs.
+/// Router's scratch route is rebuilt in place, allocating nothing once warm:
+/// recycle() parks all of a route, add_branch()/add_leg() append an empty
+/// one, drop_last_branch() parks a branch that got no legs.
 class RoutePool {
  public:
   void recycle(Route& route);
@@ -109,19 +111,80 @@ class RoutePool {
 
 class ThreeStageNetwork {
  public:
+  /// Read-only view over one connection record's words (layout in the
+  /// header comment). It writes nothing, so readers may share a network; a
+  /// view of a live record is valid until the next mutation, one of copied
+  /// words() as long as the copy.
+  class RecordView {
+   public:
+    /// Record words unpacked as (index + base, lane).
+    template <typename T>
+    struct Unpack {
+      std::size_t base;
+      T operator()(std::uint32_t word) const { return {base + index_of(word), lane_of(word)}; }
+    };
+    using Words = std::span<const std::uint32_t>;
+    /// (module, link lane) hops: branch heads (middle) or legs (output module).
+    using Hops = std::ranges::transform_view<Words, Unpack<ModulePortLane>>;
+    /// Global (port, lane) endpoints.
+    using Endpoints = std::ranges::transform_view<Words, Unpack<WavelengthEndpoint>>;
+
+    /// A view over the words of a record of a network with n =
+    /// `ports_per_module` ports per edge module (e.g. a copy of words()).
+    RecordView(Words words, std::size_t ports_per_module)
+        : words_(words), n_(ports_per_module) {}
+
+    [[nodiscard]] WavelengthEndpoint input() const {
+      return Unpack<WavelengthEndpoint>{0}(words_[0]);
+    }
+    /// The request's outputs, in request order.
+    [[nodiscard]] Endpoints outputs() const { return {words_.subspan(2, words_[1]), {0}}; }
+    /// The branch heads, (middle, link lane) each; spread() of them.
+    [[nodiscard]] Hops branches() const {
+      return {words_.subspan(3 + words_[1], spread()), {0}};
+    }
+    [[nodiscard]] std::size_t spread() const { return words_[2 + words_[1]]; }
+    [[nodiscard]] Words words() const { return words_; }
+
+    /// Walk the route tree in record order: on_branch(middle, link_lane,
+    /// legs) per branch, then on_leg(out_module, link_lane, destinations)
+    /// per leg of it; `legs` are its Hops, `destinations` Endpoints.
+    template <typename OnBranch, typename OnLeg>
+    void walk(OnBranch&& on_branch, OnLeg&& on_leg) const {
+      std::size_t at = 3 + words_[1] + spread();
+      for (const ModulePortLane head : branches()) {
+        const Words legs = words_.subspan(at + 1, words_[at]);
+        on_branch(head.port, head.lane, Hops(legs, {0}));
+        at += 1 + legs.size();
+        for (const std::uint32_t leg : legs) {
+          const Words destinations = words_.subspan(at + 1, words_[at]);
+          on_leg(index_of(leg), lane_of(leg), Endpoints(destinations, {index_of(leg) * n_}));
+          at += 1 + destinations.size();
+        }
+      }
+    }
+
+    /// The record as values: the request, and the route install() took.
+    [[nodiscard]] MulticastRequest request() const;
+    [[nodiscard]] Route route() const;
+
+   private:
+    Words words_;
+    std::size_t n_;
+  };
+
   /// Read-only view over the active connections, map-compatible: iterates
-  /// (id, (request, route)) pairs in insertion order -- which is ascending
+  /// (id, RecordView) pairs in insertion order -- which is ascending
   /// creation order, exactly what the former std::map produced -- and
   /// supports at()/contains() in O(1) via the slot index embedded in the id.
-  /// Dereferencing an iterator and at() decode a record into an entry the
-  /// network reuses (see the header comment for its lifetime).
   class ConnectionView {
    public:
+    /// A materialized connection, as find_connection hands it out.
     using Entry = std::pair<MulticastRequest, Route>;
 
     class const_iterator {
      public:
-      using value_type = std::pair<ConnectionId, const Entry&>;
+      using value_type = std::pair<ConnectionId, RecordView>;
 
       const_iterator(const ThreeStageNetwork* network, std::uint32_t slot)
           : network_(network), slot_(slot) {}
@@ -140,7 +203,7 @@ class ThreeStageNetwork {
     [[nodiscard]] bool empty() const { return size() == 0; }
     [[nodiscard]] bool contains(ConnectionId id) const;
     /// Throws std::out_of_range for unknown ids (map::at contract).
-    [[nodiscard]] const Entry& at(ConnectionId id) const;
+    [[nodiscard]] RecordView at(ConnectionId id) const;
 
    private:
     friend class ThreeStageNetwork;
@@ -233,7 +296,7 @@ class ThreeStageNetwork {
   ConnectionId install(const MulticastRequest& request, const Route& route);
 
   /// Commit a route into the slot a released id names, reviving that EXACT
-  /// id: after reinstall(id, ...), find_connection(id) is live again with
+  /// id: after reinstall(id, ...), connections().at(id) is live again with
   /// the given request/route. This is the rollback primitive of the repack
   /// executor (repack/repack.h) -- undoing a break-before-make transaction
   /// must hand sessions back under the ids callers already hold. Requires
@@ -273,11 +336,10 @@ class ThreeStageNetwork {
   /// occupant of a reused slot are untouched either way.
   bool try_release(ConnectionId id);
 
-  /// Lookup of an active connection's (request, route), decoded from its
-  /// record in O(route size); nullptr for stale ids. The entry is network
-  /// scratch, valid until the next find_connection/at or mutation (copy it
-  /// to keep it), so this call needs exclusive access. A liveness test is
-  /// connections().contains(id), which decodes nothing.
+  /// The connection as one materialized (request, route) entry, or nullptr
+  /// for stale ids. The entry is network scratch, overwritten by the next
+  /// call, so this needs exclusive access. Kept only for the session
+  /// benchmark's mirror; read connections().at(id) instead.
   [[nodiscard]] const ConnectionView::Entry* find_connection(ConnectionId id) const;
 
   /// The id encoding, exposed for layers that mirror the slot table without
@@ -290,29 +352,6 @@ class ThreeStageNetwork {
   }
   [[nodiscard]] static std::uint32_t generation_of_id(ConnectionId id) {
     return static_cast<std::uint32_t>(id >> 32);
-  }
-
-  /// Visit every active connection's inter-stage link lanes, in view order,
-  /// straight from its record (no decode, no scratch, so concurrent readers
-  /// are safe): visit(id, stage12, from, to, lane) per branch for its
-  /// input-module -> middle lane (stage12 = true) and per leg for its
-  /// middle -> output-module lane (stage12 = false).
-  template <typename Visit>
-  void for_each_link_lane(Visit&& visit) const {
-    for (std::uint32_t slot = head_; slot != kNoSlot;
-         slot = connection_slots_[slot].next) {
-      const ConnectionId id = make_id(slot, connection_slots_[slot].generation);
-      const std::uint32_t* record = records_.data() + connection_slots_[slot].offset;
-      const std::size_t in_module = input_module_of(index_of(record[0]));
-      walk_record(
-          record, [](const std::uint32_t*, std::uint32_t) {},
-          [&](std::uint32_t head, const std::uint32_t*, std::uint32_t) {
-            visit(id, true, in_module, index_of(head), lane_of(head));
-          },
-          [&](std::uint32_t head, std::uint32_t leg, const std::uint32_t*, std::uint32_t) {
-            visit(id, false, index_of(head), index_of(leg), lane_of(leg));
-          });
-    }
   }
 
   /// One port's k lanes (bit = lane, 1 = busy): the word its first-stage
@@ -397,30 +436,6 @@ class ThreeStageNetwork {
   static std::size_t index_of(std::uint32_t word) { return word >> 6; }
   static Wavelength lane_of(std::uint32_t word) { return word & 63u; }
 
-  /// Parse one record in layout order: on_input(heads, B), then per branch
-  /// on_branch(head, legs, L) followed by on_leg(head, leg, destinations, D)
-  /// for each of its legs.
-  template <typename OnInput, typename OnBranch, typename OnLeg>
-  static void walk_record(const std::uint32_t* record, OnInput&& on_input,
-                          OnBranch&& on_branch, OnLeg&& on_leg) {
-    const std::uint32_t* p = record + 2 + record[1];
-    const std::uint32_t branches = *p++;
-    const std::uint32_t* heads = p;
-    on_input(heads, branches);
-    p += branches;
-    for (std::uint32_t b = 0; b < branches; ++b) {
-      const std::uint32_t legs = *p++;
-      const std::uint32_t* leg = p;
-      on_branch(heads[b], leg, legs);
-      p += legs;
-      for (std::uint32_t l = 0; l < legs; ++l) {
-        const std::uint32_t destinations = *p++;
-        on_leg(heads[b], leg[l], p, destinations);
-        p += destinations;
-      }
-    }
-  }
-
   /// Which module column a transit passes (indexes the stage arrays).
   enum class Stage { kInput = 0, kMiddle = 1, kOutput = 2 };
   /// Visit a record's transits in layout order -- the input transit, then
@@ -428,13 +443,15 @@ class ThreeStageNetwork {
   /// as visit(stage, module, inbound, outbound) with module-local ports;
   /// `outbound` is portlane_scratch_.
   template <typename Visit>
-  void for_each_transit(const std::uint32_t* record, Visit&& visit) const;
+  void for_each_transit(const RecordView& view, Visit&& visit) const;
   /// Occupy (or vacate) every transit of a record and bring the
   /// middle-stage row bits they touch up to date. O(route size).
-  void apply_record(const std::uint32_t* record, bool occupy);
-  /// Decode the record of an active slot into `entry`.
-  const ConnectionView::Entry& decode(std::uint32_t slot,
-                                      ConnectionView::Entry& entry) const;
+  void apply_record(const RecordView& view, bool occupy);
+  /// The record of an active slot.
+  [[nodiscard]] RecordView view_of(std::uint32_t slot) const {
+    const ConnectionSlot& entry = connection_slots_[slot];
+    return {{records_.data() + entry.offset, entry.length}, params_.n};
+  }
   /// Insertion-order list surgery: take `slot` out, or put it directly
   /// after `prev_slot` (kNoSlot = the head).
   void unlink(std::uint32_t slot);
@@ -464,11 +481,8 @@ class ThreeStageNetwork {
   std::vector<std::uint32_t> records_;
   std::vector<std::uint32_t> free_blocks_;
 
-  // Decoded entries handed out by find_connection/at and by the view's
-  // iterator, and the pool that rebuilds their routes in place.
+  // The entry find_connection hands out.
   mutable ConnectionView::Entry found_;
-  mutable ConnectionView::Entry walked_;
-  mutable RoutePool decode_pool_;
 
   // Middle-stage occupancy rows, row_words_ words each (see candidate_row /
   // serve_row). Exact after every install/reinstall/release; they hold

@@ -527,18 +527,21 @@ bool Router::usable_free_lane(const SwitchModule& module, std::size_t out_port,
   return false;
 }
 
-std::size_t conversions_in_route(const MulticastRequest& request,
-                                 const Route& route) {
+std::size_t conversions_in_route(const ThreeStageNetwork::RecordView& view) {
+  const Wavelength input_lane = view.input().lane;
+  Wavelength branch_lane = 0;
   std::size_t conversions = 0;
-  for (const RouteBranch& branch : route.branches) {
-    if (branch.link_lane != request.input.lane) ++conversions;  // input module
-    for (const DeliveryLeg& leg : branch.legs) {
-      if (leg.link_lane != branch.link_lane) ++conversions;  // middle module
-      for (const auto& dest : leg.destinations) {
-        if (dest.lane != leg.link_lane) ++conversions;  // output module
-      }
-    }
-  }
+  view.walk(
+      [&](std::size_t, Wavelength link_lane, const auto&) {
+        branch_lane = link_lane;
+        if (link_lane != input_lane) ++conversions;  // input module
+      },
+      [&](std::size_t, Wavelength link_lane, const auto& destinations) {
+        if (link_lane != branch_lane) ++conversions;  // middle module
+        for (const WavelengthEndpoint dest : destinations) {
+          if (dest.lane != link_lane) ++conversions;  // output module
+        }
+      });
   return conversions;
 }
 

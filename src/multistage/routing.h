@@ -191,11 +191,10 @@ class Router {
   mutable std::uint64_t pending_spread_ = 0;
 };
 
-/// Number of wavelength conversions the route performs inside the network:
-/// one whenever a link lane differs from the lane the signal arrived on
-/// (stages 1-2), plus one per destination whose lane differs from the last
+/// Number of wavelength conversions a connection's route performs inside the
+/// network: one whenever a link lane differs from the lane the signal arrived
+/// on (stages 1-2), plus one per destination whose lane differs from the last
 /// link lane (stage 3). Zero for any MSW-dominant route of an MSW request.
-[[nodiscard]] std::size_t conversions_in_route(const MulticastRequest& request,
-                                               const Route& route);
+[[nodiscard]] std::size_t conversions_in_route(const ThreeStageNetwork::RecordView& view);
 
 }  // namespace wdm

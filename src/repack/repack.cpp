@@ -34,6 +34,7 @@ struct RepackMetrics {
 void RepackExecutor::begin() {
   if (active_) throw std::logic_error("RepackExecutor: transaction already open");
   victims_.clear();
+  words_.clear();
   admitted_.clear();
   outcome_.restored.clear();
   outcome_.dropped.clear();
@@ -42,25 +43,35 @@ void RepackExecutor::begin() {
 }
 
 bool RepackExecutor::release(ConnectionId id) {
-  const auto* entry = router_->network().find_connection(id);
-  if (entry == nullptr) return false;
-  // Copy request + route BEFORE the release: the entry is the network's
-  // decode scratch, overwritten by the next lookup, and rollback needs the
-  // original route long after this transaction has installed other
-  // connections.
-  Victim victim;
-  victim.old_id = id;
-  victim.request = entry->first;
-  victim.route = entry->second;
+  const ThreeStageNetwork& network = router_->network();
+  if (!network.connections().contains(id)) return false;
+  // Copy the record's words BEFORE the release frees its block: re-routing
+  // reads the request from them, and a rollback rebuilds the original route
+  // from them long after this transaction has installed other connections.
+  const std::span<const std::uint32_t> words = network.connections().at(id).words();
   // Undo-log capture: the session's ConnectionView predecessor (0 = head).
   // Rollback reinstalls victims newest-first splicing each one back after
   // this id, which restores the view's iteration order exactly -- any
   // predecessor this transaction releases later is itself reinstalled
   // earlier in the reverse undo, so the splice target is always live.
-  victim.prev_id = router_->network().predecessor_of(id);
+  victims_.push_back({id, network.predecessor_of(id), words_.size(), words.size()});
+  words_.insert(words_.end(), words.begin(), words.end());
   router_->disconnect(id);
-  victims_.push_back(std::move(victim));
   return true;
+}
+
+ThreeStageNetwork::RecordView RepackExecutor::victim_view(std::size_t index) const {
+  const Victim& victim = victims_[index];
+  return {{words_.data() + victim.first_word, victim.word_count},
+          router_->network().params().n};
+}
+
+const MulticastRequest& RepackExecutor::victim_request(std::size_t index) {
+  const ThreeStageNetwork::RecordView view = victim_view(index);
+  request_.input = view.input();
+  const auto outputs = view.outputs();
+  request_.outputs.assign(outputs.begin(), outputs.end());
+  return request_;
 }
 
 std::optional<ConnectionId> RepackExecutor::try_admit(const MulticastRequest& request) {
@@ -73,11 +84,12 @@ const MigrationOutcome& RepackExecutor::reroute_released(DropPolicy policy) {
   // Release order. For fault restoration (victims collected from the
   // insertion-ordered ConnectionView) this is ascending old id -- the exact
   // deterministic order the legacy restore pass re-routed in.
-  for (const Victim& victim : victims_) {
-    if (const auto new_id = try_admit(victim.request)) {
-      outcome_.restored.emplace_back(victim.old_id, *new_id);
+  for (std::size_t i = 0; i < victims_.size(); ++i) {
+    const MulticastRequest& request = victim_request(i);
+    if (const auto new_id = try_admit(request)) {
+      outcome_.restored.emplace_back(victims_[i].old_id, *new_id);
     } else if (policy == DropPolicy::kAllowDrops) {
-      outcome_.dropped.emplace_back(victim.old_id, victim.request);
+      outcome_.dropped.emplace_back(victims_[i].old_id, request);
     } else {
       rollback();
       outcome_.complete = false;
@@ -109,8 +121,9 @@ void RepackExecutor::rollback() {
     router_->disconnect(admitted_[i]);
   }
   for (std::size_t i = victims_.size(); i-- > 0;) {
-    (void)router_->network().reinstall(victims_[i].old_id, victims_[i].request,
-                                       victims_[i].route, victims_[i].prev_id);
+    const ThreeStageNetwork::RecordView original = victim_view(i);
+    (void)router_->network().reinstall(victims_[i].old_id, original.request(),
+                                       original.route(), victims_[i].prev_id);
   }
   if (!victims_.empty() || !admitted_.empty()) {
     RepackMetrics::get().rollbacks.add();
@@ -144,14 +157,17 @@ void RepackPlanner::refresh() {
   const ClosParams& params = network_->params();
   owner12_.assign(owner12_.size(), kNoOwner);
   owner23_.assign(owner23_.size(), kNoOwner);
-  network_->for_each_link_lane([&](ConnectionId id, bool stage12, std::size_t from,
-                                   std::size_t to, Wavelength lane) {
-    if (stage12) {
-      owner12_[(from * params.m + to) * params.k + lane] = id;
-    } else {
-      owner23_[(from * params.r + to) * params.k + lane] = id;
-    }
-  });
+  for (const auto& [id, view] : network_->connections()) {
+    const std::size_t in_module = network_->input_module_of(view.input().port);
+    view.walk(
+        [&](std::size_t j, Wavelength lane, const auto& legs) {
+          owner12_[(in_module * params.m + j) * params.k + lane] = id;
+          for (const ModulePortLane leg : legs) {
+            owner23_[(j * params.r + leg.port) * params.k + leg.lane] = id;
+          }
+        },
+        [](auto&&...) {});
+  }
 }
 
 bool RepackPlanner::viable(ConnectionId owner, const RepackExecutor& txn) const {
@@ -296,7 +312,7 @@ std::optional<ConnectionId> RepackEngine::connect(const MulticastRequest& reques
   std::optional<ConnectionId> root_id;
   bool failed = false;
   while (head <= executor_.released_count()) {
-    // Re-read every pass: a release may reallocate the victim list.
+    // Re-read every pass: the victim's request is executor scratch.
     const MulticastRequest& place =
         head == 0 ? request : executor_.victim_request(head - 1);
     if (const auto id = executor_.try_admit(place)) {

@@ -90,8 +90,8 @@ class RepackExecutor {
   /// Start a transaction. No-op bookkeeping reset; cheap.
   void begin();
 
-  /// Break: tear the session down, remembering its request and route for
-  /// rollback. False for stale ids (nothing released).
+  /// Break: tear the session down, keeping a copy of its record's words
+  /// for re-routing and rollback. False for stale ids (nothing released).
   bool release(ConnectionId id);
 
   /// Make: route `request` through the freed state. The admitted id is
@@ -124,10 +124,9 @@ class RepackExecutor {
   /// session placed by the transaction must not be proposed as a victim,
   /// or the chain would livelock.)
   [[nodiscard]] bool did_admit(ConnectionId id) const;
-  /// (old id, request, original route) of victim `index`, release order.
-  [[nodiscard]] const MulticastRequest& victim_request(std::size_t index) const {
-    return victims_[index].request;
-  }
+  /// The request of victim `index` (release order), rebuilt from its
+  /// words into executor scratch: valid until the next call.
+  [[nodiscard]] const MulticastRequest& victim_request(std::size_t index);
   [[nodiscard]] ConnectionId victim_id(std::size_t index) const {
     return victims_[index].old_id;
   }
@@ -136,12 +135,17 @@ class RepackExecutor {
   struct Victim {
     ConnectionId old_id = 0;
     ConnectionId prev_id = 0;  // ConnectionView predecessor at release (0 = head)
-    MulticastRequest request;
-    Route route;
+    std::size_t first_word = 0;  // its record's words in words_
+    std::size_t word_count = 0;
   };
+
+  /// Victim `index`'s record, read from the copied words.
+  [[nodiscard]] ThreeStageNetwork::RecordView victim_view(std::size_t index) const;
 
   Router* router_;
   std::vector<Victim> victims_;      // release order
+  std::vector<std::uint32_t> words_;  // victims' record words; begin() clears
+  MulticastRequest request_;          // victim_request scratch
   std::vector<ConnectionId> admitted_;  // admit order
   MigrationOutcome outcome_;
   bool active_ = false;
@@ -206,8 +210,7 @@ class RepackEngine {
   /// planning. On a repack admit, last_moved() reports the migrated
   /// sessions (old id -> new id) until the next call. On failure the
   /// transaction is rolled back (occupancy untouched) and the router's
-  /// last_error() explains the final obstacle. `request` is read for the
-  /// whole transaction, so it must not be a network decode entry.
+  /// last_error() explains the final obstacle.
   [[nodiscard]] std::optional<ConnectionId> connect(const MulticastRequest& request);
 
   [[nodiscard]] const RepackPolicy& policy() const { return policy_; }

@@ -108,8 +108,7 @@ SimStats run_dynamic_sim(MultistageSwitch& sw, const SimConfig& config) {
       if (id) {
         ++stats.admitted;
         counters.admitted.add();
-        stats.conversions += conversions_in_route(
-            *request, sw.network().connections().at(*id).second);
+        stats.conversions += conversions_in_route(sw.network().connections().at(*id));
         if (config.repack) {
           // Migrated sessions carry fresh ids; patch the departure pool so
           // later victims name live sessions.

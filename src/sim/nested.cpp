@@ -24,12 +24,10 @@ NestedRecursionValidator::NestedRecursionValidator(MultistageSwitch& outer)
 }
 
 bool NestedRecursionValidator::on_connect(ConnectionId outer_id) {
-  const auto& [request, route] =
-      outer_->network().connections().at(outer_id);
-  (void)request;
+  const ThreeStageNetwork::RecordView outer = outer_->network().connections().at(outer_id);
+  const Route route = outer.route();
   std::vector<std::pair<std::size_t, ConnectionId>> mirrored;
-  const std::size_t in_module =
-      outer_->network().input_module_of(request.input.port);
+  const std::size_t in_module = outer_->network().input_module_of(outer.input().port);
 
   for (const RouteBranch& branch : route.branches) {
     // Inside middle module `branch.middle` the transit enters at module

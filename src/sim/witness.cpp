@@ -19,8 +19,8 @@ BlockingWitness capture_witness(const ThreeStageNetwork& network,
   BlockingWitness witness;
   witness.m = network.params().m;
   witness.blocked_request = blocked;
-  for (const auto& [id, entry] : network.connections()) {
-    witness.state.push_back(entry);
+  for (const auto& [id, view] : network.connections()) {
+    witness.state.emplace_back(view.request(), view.route());
   }
   return witness;
 }

@@ -108,11 +108,9 @@ TEST(ShardedEngine, GrowAddsADestinationUnderAFreshId) {
             GrowResult::Status::kStaleSession);
 
   // The grown session carries both destinations.
-  const auto* entry = engine.shard_switch(session->shard)
-                          .network()
-                          .find_connection(grown.connection);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->first.outputs.size(), 2u);
+  const auto connections = engine.shard_switch(session->shard).network().connections();
+  ASSERT_TRUE(connections.contains(grown.connection));
+  EXPECT_EQ(connections.at(grown.connection).outputs().size(), 2u);
   engine.self_check();
 
   EXPECT_TRUE(engine.disconnect({session->shard, grown.connection}));
@@ -132,8 +130,7 @@ TEST(ShardedEngine, BlockedGrowRollsBackToTheOriginalRoute) {
   ASSERT_TRUE(session.has_value());
   ASSERT_EQ(session->shard, shard);
   ThreeStageNetwork& network = engine.shard_switch(session->shard).network();
-  const Route route_before =
-      network.find_connection(session->connection)->second;
+  const Route route_before = network.connections().at(session->connection).route();
 
   // Occupy the target output so the grow cannot be admitted.
   const auto blocker = engine.connect({{source_b, 0}, {{5, 0}}});
@@ -143,10 +140,10 @@ TEST(ShardedEngine, BlockedGrowRollsBackToTheOriginalRoute) {
   const GrowResult result = engine.grow(*session, {5, 0});
   ASSERT_EQ(result.status, GrowResult::Status::kBlocked);
   // Rolled back: same route, fresh id, nothing leaked.
-  const auto* entry = network.find_connection(result.connection);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->second, route_before);
-  EXPECT_EQ(entry->first.outputs.size(), 1u);
+  ASSERT_TRUE(network.connections().contains(result.connection));
+  const auto restored = network.connections().at(result.connection);
+  EXPECT_EQ(restored.route(), route_before);
+  EXPECT_EQ(restored.outputs().size(), 1u);
   EXPECT_EQ(engine.active_sessions(), 2u);
   engine.self_check();
 }

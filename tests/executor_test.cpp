@@ -418,11 +418,9 @@ TEST(CrossShardGrow, MigratesTheSessionToTheTargetShard) {
   EXPECT_EQ(engine.active_sessions(), 1u);
 
   // The migrated session carries both destinations on the target replica.
-  const auto* entry = engine.shard_switch(pair.target)
-                          .network()
-                          .find_connection(result.session.connection);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->first.outputs.size(), 2u);
+  const auto connections = engine.shard_switch(pair.target).network().connections();
+  ASSERT_TRUE(connections.contains(result.session.connection));
+  EXPECT_EQ(connections.at(result.session.connection).outputs().size(), 2u);
   engine.self_check();
   EXPECT_TRUE(engine.disconnect(result.session));
 }

@@ -160,8 +160,8 @@ TEST(FaultRouting, DegradedNetworkEquivalentToSmallerNetwork) {
       EXPECT_EQ(degraded.active_connections(), fresh.active_connections());
 
       // No surviving route crosses a failed middle.
-      for (const auto& [id, entry] : degraded.network().connections()) {
-        for (const RouteBranch& branch : entry.second.branches) {
+      for (const auto& [id, view] : degraded.network().connections()) {
+        for (const RouteBranch& branch : view.route().branches) {
           EXPECT_EQ(std::find(failed.begin(), failed.end(), branch.middle),
                     failed.end());
         }
@@ -261,8 +261,8 @@ TEST(Restoration, ReroutesAroundAFailedMiddle) {
 
   // Fail the most-loaded middle module.
   std::map<std::size_t, std::size_t> use;
-  for (const auto& [id, entry] : sw.network().connections()) {
-    for (const RouteBranch& branch : entry.second.branches) ++use[branch.middle];
+  for (const auto& [id, view] : sw.network().connections()) {
+    for (const RouteBranch& branch : view.route().branches) ++use[branch.middle];
   }
   const std::size_t victim =
       std::max_element(use.begin(), use.end(), [](const auto& a, const auto& b) {
@@ -279,8 +279,8 @@ TEST(Restoration, ReroutesAroundAFailedMiddle) {
   EXPECT_TRUE(report.dropped.empty());
   EXPECT_EQ(sw.active_connections(), live_before);
   sw.network().self_check();
-  for (const auto& [id, entry] : sw.network().connections()) {
-    for (const RouteBranch& branch : entry.second.branches) {
+  for (const auto& [id, view] : sw.network().connections()) {
+    for (const RouteBranch& branch : view.route().branches) {
       EXPECT_NE(branch.middle, victim);
     }
   }

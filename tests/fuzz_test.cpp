@@ -57,9 +57,8 @@ TEST(Fuzz, MultistageStateUntouchedByFailedOperations) {
         }
         case 3: {  // busy-endpoint request
           if (live.empty()) break;
-          const auto& [request, route] =
-              sw.network().connections().at(live[rng.next_below(live.size())]);
-          (void)route;
+          const MulticastRequest request =
+              sw.network().connections().at(live[rng.next_below(live.size())]).request();
           EXPECT_FALSE(sw.try_connect(request).has_value());
           EXPECT_TRUE(sw.last_error() == ConnectError::kInputBusy ||
                       sw.last_error() == ConnectError::kOutputBusy);

@@ -198,7 +198,7 @@ TEST(GoldenCounters, WideRowRoutesArePinned) {
       routes.add(~0ull);
       continue;
     }
-    const Route& route = network.find_connection(*id)->second;
+    const Route route = network.connections().at(*id).route();
     routes.add(route.branches.size());
     for (const RouteBranch& branch : route.branches) {
       routes.add(branch.middle);

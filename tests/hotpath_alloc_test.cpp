@@ -24,6 +24,7 @@
 #include <new>
 #include <vector>
 
+#include "engine/sharded_engine.h"
 #include "faults/fault_model.h"
 #include "multistage/builder.h"
 #include "repack/repack.h"
@@ -270,6 +271,58 @@ TEST(HotPathAllocations, MawDominantChurnIsAllocationFreeToo) {
   std::vector<ConnectionId> live;
   live.reserve(script.size());
   warm_up_then_expect_no_allocations(sw, script, live);
+}
+
+TEST(HotPathAllocations, SteadyStateEngineGrowIsAllocationFree) {
+  // ShardedEngine::grow, grown outcome: the shard keeps the session's
+  // record words and the grown request in scratch it reuses, and the
+  // break-before-make reroute runs on the router's scratch, so once warm a
+  // grow allocates nothing. Only the grow calls are counted; each pass
+  // connects, grows and disconnects the same sessions at the Theorem 1
+  // bound, where no grow blocks.
+  set_metrics_enabled(true);
+
+  engine::EngineConfig config;
+  config.params = nonblocking_params(4, 8, 4, Construction::kMswDominant);
+  config.shards = 1;
+  engine::ShardedEngine engine(config);
+  const std::size_t half = config.params.port_count() / 2;
+  std::vector<engine::SessionId> sessions;
+  sessions.reserve(half);
+
+  const auto grow_pass = [&] {
+    std::size_t allocations = 0;
+    std::size_t grown = 0;
+    // Session i delivers to port i, and its grow adds port half + i.
+    for (std::size_t port = 0; port < half; ++port) {
+      if (const auto session = engine.connect({{port, 0}, {{port, 0}}})) {
+        sessions.push_back(*session);
+      }
+    }
+    EXPECT_EQ(sessions.size(), half) << "a connect blocked at the bound";
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+      const std::size_t before = g_allocations.load();
+      const engine::GrowResult result = engine.grow(sessions[i], {half + i, 0});
+      allocations += g_allocations.load() - before;
+      if (result.status == engine::GrowResult::Status::kGrown) ++grown;
+      sessions[i].connection = result.connection;
+    }
+    for (const engine::SessionId& session : sessions) (void)engine.disconnect(session);
+    EXPECT_EQ(grown, half) << "a grow did not come back kGrown";
+    sessions.clear();
+    return allocations;
+  };
+
+  constexpr int kMaxWarmupPasses = 40;
+  bool converged = false;
+  for (int pass = 0; pass < kMaxWarmupPasses && !converged; ++pass) {
+    converged = grow_pass() == 0;
+  }
+  ASSERT_TRUE(converged) << "no allocation-free grow pass within " << kMaxWarmupPasses
+                         << " warm-ups: grow allocates in steady state";
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_EQ(grow_pass(), 0u) << "measured pass " << pass;
+  }
 }
 
 }  // namespace

@@ -147,14 +147,20 @@ TEST(LanePolicy, PreferSourceCutsConversions) {
 }
 
 TEST(LanePolicy, ConversionsInRouteCountsAllStages) {
+  // MAW modules at every stage, so each stage may convert.
+  ThreeStageNetwork network(ClosParams{2, 2, 3, 2}, Construction::kMawDominant,
+                            MulticastModel::kMAW);
   const MulticastRequest request{{0, 0}, {{2, 1}}};
   // Route: branch lane 1 (1 conversion at input module), leg lane 0
   // (1 at middle), destination lane 1 (1 at output) = 3 total.
   const Route route{{RouteBranch{0, 1, {DeliveryLeg{1, 0, {{2, 1}}}}}}};
-  EXPECT_EQ(conversions_in_route(request, route), 3u);
+  const ConnectionId id = network.install(request, route);
+  EXPECT_EQ(conversions_in_route(network.connections().at(id)), 3u);
+  network.release(id);
   // Same-lane route: zero.
   const Route flat{{RouteBranch{0, 0, {DeliveryLeg{1, 0, {{2, 0}}}}}}};
-  EXPECT_EQ(conversions_in_route(MulticastRequest{{0, 0}, {{2, 0}}}, flat), 0u);
+  const ConnectionId flat_id = network.install(MulticastRequest{{0, 0}, {{2, 0}}}, flat);
+  EXPECT_EQ(conversions_in_route(network.connections().at(flat_id)), 0u);
 }
 
 }  // namespace

@@ -247,7 +247,7 @@ TEST(ThreeStageNetwork, MultiBranchMulticastInstall) {
   EXPECT_EQ(network.check_route(request, route), std::nullopt);
   const auto id = network.install(request, route);
   network.self_check();
-  EXPECT_EQ(network.connections().at(id).second.spread(), 2u);
+  EXPECT_EQ(network.connections().at(id).spread(), 2u);
   network.release(id);
   network.self_check();
 }
@@ -262,16 +262,16 @@ TEST(ThreeStageNetwork, TryReleaseRejectsStaleGenerations) {
   EXPECT_TRUE(network.try_release(first));
   // Double release: rejected without touching state.
   EXPECT_FALSE(network.try_release(first));
-  EXPECT_EQ(network.find_connection(first), nullptr);
+  EXPECT_FALSE(network.connections().contains(first));
 
   // The slot is recycled under a fresh generation; the disposed id must
   // keep failing even though its slot is live again.
   const ConnectionId second = network.install(request, route);
   EXPECT_NE(first, second);
   EXPECT_FALSE(network.try_release(first));
-  EXPECT_EQ(network.find_connection(first), nullptr);
-  ASSERT_NE(network.find_connection(second), nullptr);
-  EXPECT_EQ(network.find_connection(second)->first, request);
+  EXPECT_FALSE(network.connections().contains(first));
+  ASSERT_TRUE(network.connections().contains(second));
+  EXPECT_EQ(network.connections().at(second).request(), request);
   EXPECT_EQ(network.active_connections(), 1u);
   network.self_check();
   EXPECT_TRUE(network.try_release(second));
@@ -296,7 +296,7 @@ TEST(ThreeStageNetwork, StaleIdHammerKeepsFreeListIntact) {
     const ConnectionId b = network.install(odd, odd_route);
     for (const ConnectionId ghost : graveyard) {
       ASSERT_FALSE(network.try_release(ghost));
-      ASSERT_EQ(network.find_connection(ghost), nullptr);
+      ASSERT_FALSE(network.connections().contains(ghost));
     }
     EXPECT_EQ(network.active_connections(), 2u);
     network.release(b);
@@ -362,12 +362,14 @@ TEST(NetworkRows, ChurnKeepsRowsExact) {
           // (`after`) or appended at the tail.
           const ConnectionId id = live[rng.next_below(live.size())];
           const ConnectionId prev = network.predecessor_of(id);
-          const auto entry = *network.find_connection(id);
+          const auto view = network.connections().at(id);
+          const MulticastRequest request = view.request();
+          const Route route = view.route();
           network.release(id);
           network.self_check();
           const ConnectionId revived =
-              action == 8 ? network.reinstall(id, entry.first, entry.second, prev)
-                          : network.reinstall(id, entry.first, entry.second);
+              action == 8 ? network.reinstall(id, request, route, prev)
+                          : network.reinstall(id, request, route);
           ASSERT_EQ(revived, id);
           ++reinstalls;
         }
@@ -529,15 +531,17 @@ TEST(NetworkEndpoints, BusyQueriesMatchReference) {
           const auto& [id, request] =
               *std::next(live.begin(), rng.next_below(live.size()));
           const ConnectionId prev = network.predecessor_of(id);
-          const auto entry = *network.find_connection(id);
+          const auto view = network.connections().at(id);
+          const MulticastRequest stored = view.request();
+          const Route route = view.route();
           network.release(id);
           mark(request, false);
           EXPECT_FALSE(network.input_busy(request.input));
           for (const auto& out : request.outputs) EXPECT_FALSE(network.output_busy(out));
           EXPECT_EQ(network.check_admissible(request), std::nullopt);
           const ConnectionId revived =
-              action == 8 ? network.reinstall(id, entry.first, entry.second, prev)
-                          : network.reinstall(id, entry.first, entry.second);
+              action == 8 ? network.reinstall(id, stored, route, prev)
+                          : network.reinstall(id, stored, route);
           ASSERT_EQ(revived, id);
           mark(request, true);
           ++reinstalls;

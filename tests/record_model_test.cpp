@@ -1,25 +1,36 @@
 // Flat connection records checked against a reference model.
 //
 // ThreeStageNetwork stores each connection once, as a packed record in an
-// arena, and decodes it on demand. This property test drives seeded random
-// sequences of install, reinstall (with and without `after`), release and
-// grow-style release + install, mirrors every step in a plain std::map of
+// arena, and reads it through a RecordView. This property test drives
+// seeded random sequences of install, reinstall (with and without `after`),
+// release and grow-style release + install -- grown, or rolled back from
+// the record's copied words -- mirrors every step in a plain std::map of
 // entries plus an order list, and after every step checks that
-//   * find_connection decodes every live id to exactly the installed
-//     (request, route) -- request outputs in request order -- and every
-//     released id to nullptr;
-//   * connections() yields the reference ids in the reference order with
-//     the same entries, and predecessor_of agrees with that order;
+//   * every RecordView accessor agrees with the installed (request, route):
+//     input, outputs in request order, the walk's branch heads, legs and
+//     global destination ports, and the request()/route() builders;
+//   * connections() yields the reference ids in the reference order,
+//     at(id) agrees with iteration, find_connection materializes the same
+//     entry, predecessor_of agrees with the order, and released ids are
+//     gone;
+//   * a twin network driven with the reference values -- the rollback that
+//     reinstalls a copied (request, Route) -- mints the same ids in the
+//     same view order as the rollback from copied words;
 //   * self_check() passes (module words, busy counts and middle-stage rows
 //     rebuilt from the records).
 // Geometries: both constructions x MSW/MSDW/MAW at k = 64 (lane 63 fills the
 // record's six-bit lane field) and m >= 65 (two-word middle-stage rows). MAW
 // requests draw a lane per destination, and fanouts reach N.
+//
+// A second test reads one loaded network from four threads at once: views
+// write nothing, so a ThreadSanitizer build of this binary (labelled tsan)
+// must stay silent and every reader must see the single-threaded pass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -29,7 +40,7 @@
 namespace wdm {
 namespace {
 
-using Entry = ThreeStageNetwork::ConnectionView::Entry;
+using Entry = std::pair<MulticastRequest, Route>;
 
 struct Reference {
   std::map<ConnectionId, Entry> entries;
@@ -102,28 +113,89 @@ std::optional<WavelengthEndpoint> draw_extra_output(Rng& rng,
   return std::nullopt;
 }
 
-void expect_matches(const ThreeStageNetwork& network, const Reference& reference,
-                    const std::vector<ConnectionId>& released) {
+/// Every accessor of `view` against the installed (request, route).
+void expect_view_matches(const ThreeStageNetwork::RecordView& view, const Entry& entry) {
+  const auto& [request, route] = entry;
+  ASSERT_EQ(view.input(), request.input);
+  const auto outputs = view.outputs();
+  ASSERT_EQ(outputs.size(), request.outputs.size());
+  for (std::size_t i = 0; i < outputs.size(); ++i) {
+    ASSERT_EQ(outputs[i], request.outputs[i]) << "output " << i;
+  }
+  ASSERT_EQ(view.spread(), route.branches.size());
+  std::vector<ModulePortLane> heads;
+  for (const RouteBranch& b : route.branches) heads.push_back({b.middle, b.link_lane});
+  const auto branches = view.branches();
+  ASSERT_EQ(std::vector<ModulePortLane>(branches.begin(), branches.end()), heads);
+  std::size_t branch = 0;
+  std::size_t leg = 0;
+  view.walk(
+      [&](std::size_t middle, Wavelength link_lane, const auto& legs) {
+        if (branch > 0) {
+          EXPECT_EQ(leg, route.branches[branch - 1].legs.size());
+        }
+        ASSERT_LT(branch, route.branches.size());
+        EXPECT_EQ(middle, route.branches[branch].middle) << "branch " << branch;
+        EXPECT_EQ(link_lane, route.branches[branch].link_lane) << "branch " << branch;
+        std::vector<ModulePortLane> want;
+        for (const DeliveryLeg& delivery : route.branches[branch].legs) {
+          want.push_back({delivery.out_module, delivery.link_lane});
+        }
+        EXPECT_EQ(std::vector<ModulePortLane>(legs.begin(), legs.end()), want)
+            << "legs of branch " << branch;
+        ++branch;
+        leg = 0;
+      },
+      [&](std::size_t out_module, Wavelength link_lane, const auto& destinations) {
+        const std::vector<DeliveryLeg>& legs = route.branches[branch - 1].legs;
+        ASSERT_LT(leg, legs.size());
+        EXPECT_EQ(out_module, legs[leg].out_module) << "leg " << leg;
+        EXPECT_EQ(link_lane, legs[leg].link_lane) << "leg " << leg;
+        const std::vector<WavelengthEndpoint> global(destinations.begin(),
+                                                     destinations.end());
+        EXPECT_EQ(global, legs[leg].destinations) << "leg " << leg;
+        ++leg;
+      });
+  ASSERT_EQ(branch, route.branches.size());
+  if (branch > 0) {
+    EXPECT_EQ(leg, route.branches[branch - 1].legs.size());
+  }
+  ASSERT_EQ(view.request(), request);
+  ASSERT_EQ(view.route(), route);
+}
+
+void expect_matches(const ThreeStageNetwork& network, const ThreeStageNetwork& twin,
+                    const Reference& reference, const std::vector<ConnectionId>& released) {
   ASSERT_EQ(network.active_connections(), reference.order.size());
   std::size_t index = 0;
-  for (const auto& [id, entry] : network.connections()) {
+  for (const auto& [id, view] : network.connections()) {
     ASSERT_LT(index, reference.order.size());
     ASSERT_EQ(id, reference.order[index]) << "view position " << index;
-    ASSERT_EQ(entry, reference.entries.at(id)) << "view entry of " << id;
+    ASSERT_NO_FATAL_FAILURE(expect_view_matches(view, reference.entries.at(id)))
+        << "view of " << id;
     ++index;
   }
   ASSERT_EQ(index, reference.order.size());
   for (std::size_t i = 0; i < reference.order.size(); ++i) {
     const ConnectionId id = reference.order[i];
+    ASSERT_TRUE(network.connections().contains(id)) << id;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_view_matches(network.connections().at(id), reference.entries.at(id)))
+        << "at(" << id << ")";
     const Entry* entry = network.find_connection(id);
     ASSERT_NE(entry, nullptr) << id;
-    ASSERT_EQ(*entry, reference.entries.at(id)) << "decode of " << id;
+    ASSERT_EQ(*entry, reference.entries.at(id)) << "materialization of " << id;
     ASSERT_EQ(network.predecessor_of(id), i == 0 ? 0 : reference.order[i - 1]);
   }
   for (const ConnectionId id : released) {
+    ASSERT_FALSE(network.connections().contains(id)) << "released id " << id;
     ASSERT_EQ(network.find_connection(id), nullptr) << "released id " << id;
   }
+  std::vector<ConnectionId> twin_order;
+  for (const auto& [id, view] : twin.connections()) twin_order.push_back(id);
+  ASSERT_EQ(twin_order, reference.order) << "twin view order";
   network.self_check();
+  twin.self_check();
 }
 
 class RecordModel
@@ -134,6 +206,7 @@ TEST_P(RecordModel, DecodeOrderAndOccupancyMatchReference) {
   for (const ClosParams params : {ClosParams{3, 3, 65, 64}, ClosParams{4, 2, 66, 64}}) {
     SCOPED_TRACE(params.to_string());
     ThreeStageNetwork network(params, construction, model);
+    ThreeStageNetwork twin(params, construction, model);
     Router router(network, RoutingPolicy{2});
     Rng rng(0x5EC0 + 7 * params.n + 3 * static_cast<std::uint64_t>(model) +
             static_cast<std::uint64_t>(construction));
@@ -142,6 +215,7 @@ TEST_P(RecordModel, DecodeOrderAndOccupancyMatchReference) {
     std::size_t installs = 0;
     std::size_t reinstalls = 0;
     std::size_t grows = 0;
+    std::size_t rollbacks = 0;
 
     for (int step = 0; step < 400; ++step) {
       const double op = rng.next_double();
@@ -151,13 +225,17 @@ TEST_P(RecordModel, DecodeOrderAndOccupancyMatchReference) {
         const auto route = router.find_route(*request);
         if (!route) continue;
         const ConnectionId id = network.install(*request, *route);
+        ASSERT_EQ(twin.install(*request, *route), id);
         reference.insert(id, {*request, *route}, std::nullopt);
         ++installs;
       } else {
         const ConnectionId id = reference.order[rng.next_below(reference.order.size())];
         const Entry original = reference.entries.at(id);
         const ConnectionId predecessor = network.predecessor_of(id);
+        const auto words = network.connections().at(id).words();
+        const std::vector<std::uint32_t> saved(words.begin(), words.end());
         network.release(id);
+        twin.release(id);
         reference.erase(id);
         if (op < 0.6) {
           released.push_back(id);
@@ -177,34 +255,49 @@ TEST_P(RecordModel, DecodeOrderAndOccupancyMatchReference) {
               }
           }
           ASSERT_EQ(network.reinstall(id, original.first, route, after), id);
+          ASSERT_EQ(twin.reinstall(id, original.first, route, after), id);
           reference.insert(id, {original.first, route}, after);
           ++reinstalls;
         } else {
-          // Grow: break, route the grown request, else restore the original.
+          // Grow: break, route the grown request, else -- or, a quarter of
+          // the time, regardless -- roll back: the network reinstalls the
+          // original rebuilt from the copied words, the twin from the
+          // reference values.
           MulticastRequest grown = original.first;
           if (const auto extra = draw_extra_output(rng, network, grown)) {
             grown.outputs.push_back(*extra);
           }
-          const auto route = router.find_route(grown);
+          const bool forced_rollback = rng.next_below(4) == 0;
+          const auto route = forced_rollback ? std::nullopt : router.find_route(grown);
+          ConnectionId next_id = 0;
+          if (route) {
+            next_id = network.install(grown, *route);
+          } else {
+            const ThreeStageNetwork::RecordView copy(saved, params.n);
+            next_id = network.install(copy.request(), copy.route());
+            ++rollbacks;
+          }
           const Entry next = route ? Entry{grown, *route} : original;
-          const ConnectionId next_id = network.install(next.first, next.second);
+          ASSERT_EQ(twin.install(next.first, next.second), next_id);
           reference.insert(next_id, next, std::nullopt);
           released.push_back(id);
           ++grows;
         }
       }
-      ASSERT_NO_FATAL_FAILURE(expect_matches(network, reference, released))
+      ASSERT_NO_FATAL_FAILURE(expect_matches(network, twin, reference, released))
           << "step " << step;
     }
     EXPECT_GT(installs, 50u);
     EXPECT_GT(reinstalls, 20u);
     EXPECT_GT(grows, 20u);
+    EXPECT_GT(rollbacks, 5u);
     // Drain: every record comes back out and the network is empty.
     for (const ConnectionId id : std::vector<ConnectionId>(reference.order)) {
       network.release(id);
+      twin.release(id);
       reference.erase(id);
     }
-    expect_matches(network, reference, released);
+    expect_matches(network, twin, reference, released);
   }
 }
 
@@ -220,6 +313,60 @@ INSTANTIATE_TEST_SUITE_P(
                              : "MawDominant") +
              model_name(std::get<1>(info.param));
     });
+
+/// What one reader saw of every connection, in view order.
+struct Seen {
+  ConnectionId id = 0;
+  MulticastRequest request;
+  Route route;
+  std::vector<std::uint32_t> words;
+  std::size_t conversions = 0;
+  friend bool operator==(const Seen&, const Seen&) = default;
+};
+
+std::vector<Seen> read_all(const ThreeStageNetwork& network) {
+  std::vector<Seen> seen;
+  for (const auto& [id, view] : network.connections()) {
+    const ThreeStageNetwork::RecordView again = network.connections().at(id);
+    seen.push_back({id, again.request(), view.route(),
+                    {view.words().begin(), view.words().end()}, conversions_in_route(view)});
+  }
+  return seen;
+}
+
+TEST(RecordViewReaders, ConcurrentReadersSeeTheSingleThreadedPass) {
+  ThreeStageNetwork network(ClosParams{3, 3, 65, 64}, Construction::kMawDominant,
+                            MulticastModel::kMAW);
+  Router router(network, RoutingPolicy{2});
+  Rng rng(0x4EAD);
+  std::vector<ConnectionId> live;
+  for (int step = 0; step < 300; ++step) {
+    if (!live.empty() && rng.next_bool(0.3)) {
+      const std::size_t victim = rng.next_below(live.size());
+      network.release(live[victim]);
+      live[victim] = live.back();
+      live.pop_back();
+    } else if (const auto request = draw_request(rng, network)) {
+      if (network.check_admissible(*request)) continue;
+      if (const auto route = router.find_route(*request)) {
+        live.push_back(network.install(*request, *route));
+      }
+    }
+  }
+  const std::vector<Seen> expected = read_all(network);
+  ASSERT_GT(expected.size(), 20u);
+
+  constexpr int kReaders = 4;
+  std::vector<std::vector<Seen>> results(kReaders);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&network, &results, t] {
+      for (int pass = 0; pass < 20; ++pass) results[t] = read_all(network);
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (int t = 0; t < kReaders; ++t) EXPECT_EQ(results[t], expected) << "reader " << t;
+}
 
 }  // namespace
 }  // namespace wdm

@@ -152,8 +152,8 @@ TEST(NestedRecursion, InnerNetworksNeverBlockUnderChurn) {
     EXPECT_GT(mirrored, 100u);
     // Inner bookkeeping matches outer branch counts.
     std::size_t outer_branches = 0;
-    for (const auto& [id, entry] : outer.network().connections()) {
-      outer_branches += entry.second.branches.size();
+    for (const auto& [id, view] : outer.network().connections()) {
+      outer_branches += view.spread();
     }
     EXPECT_EQ(validator.mirrored_connections(), outer_branches);
   }

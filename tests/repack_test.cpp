@@ -109,10 +109,9 @@ TEST(RepackEngine, MovedSessionsStayLiveUnderNewIds) {
         // The old id is stale, the new one live with the victim's request.
         const auto moved = live.extract(old_id);
         ASSERT_FALSE(moved.empty()) << "engine moved a session we never made";
-        EXPECT_EQ(network.find_connection(old_id), nullptr);
-        const auto* entry = network.find_connection(new_id);
-        ASSERT_NE(entry, nullptr);
-        EXPECT_EQ(entry->first, moved.mapped());
+        EXPECT_FALSE(network.connections().contains(old_id));
+        ASSERT_TRUE(network.connections().contains(new_id));
+        EXPECT_EQ(network.connections().at(new_id).request(), moved.mapped());
         live.emplace(new_id, std::move(moved.mapped()));
       }
       live.emplace(*id, *request);
@@ -126,9 +125,8 @@ TEST(RepackEngine, MovedSessionsStayLiveUnderNewIds) {
   ASSERT_GT(repacked, 0u) << "no repack engaged; recalibrate m / load";
   network.self_check();
   for (const auto& [id, request] : live) {
-    const auto* entry = network.find_connection(id);
-    ASSERT_NE(entry, nullptr);
-    EXPECT_EQ(entry->first, request);
+    ASSERT_TRUE(network.connections().contains(id));
+    EXPECT_EQ(network.connections().at(id).request(), request);
   }
 }
 
@@ -142,14 +140,13 @@ TEST(RepackEngine, MovedSessionsStayLiveUnderNewIds) {
 // back after its captured predecessor, so a rolled-back transaction leaves
 // even the insertion-order list bit-identical.
 struct FabricSnapshot {
-  std::vector<std::pair<ConnectionId, ThreeStageNetwork::ConnectionView::Entry>>
-      sessions;
+  std::vector<std::pair<ConnectionId, std::pair<MulticastRequest, Route>>> sessions;
   std::vector<std::uint64_t> out_words;
 
   static FabricSnapshot of(const ThreeStageNetwork& network) {
     FabricSnapshot snap;
-    for (const auto& [id, entry] : network.connections()) {
-      snap.sessions.emplace_back(id, entry);
+    for (const auto& [id, view] : network.connections()) {
+      snap.sessions.emplace_back(id, std::pair{view.request(), view.route()});
     }
     const ClosParams& params = network.params();
     const auto append_stage = [&snap](const SwitchModule& module,
@@ -256,10 +253,8 @@ RestorationReport legacy_restore(MultistageSwitch& sw) {
   if (faults == nullptr) return report;
 
   std::vector<std::pair<ConnectionId, MulticastRequest>> stranded;
-  for (const auto& [id, entry] : network.connections()) {
-    if (route_uses_faults(network, entry.first, entry.second, *faults)) {
-      stranded.emplace_back(id, entry.first);
-    }
+  for (const auto& [id, view] : network.connections()) {
+    if (route_uses_faults(network, view, *faults)) stranded.emplace_back(id, view.request());
   }
   report.affected = stranded.size();
   for (const auto& [id, request] : stranded) sw.router().disconnect(id);
@@ -324,12 +319,12 @@ TEST(UnifiedRestoration, ReportIdenticalToLegacyPass) {
     // The surviving fabrics match session for session.
     auto legacy_view = legacy.network().connections();
     auto it = legacy_view.begin();
-    for (const auto& [id, entry] : unified.network().connections()) {
+    for (const auto& [id, view] : unified.network().connections()) {
       ASSERT_FALSE(it == legacy_view.end());
-      const auto [legacy_id, legacy_entry] = *it;
+      const auto [legacy_id, legacy] = *it;
       EXPECT_EQ(id, legacy_id);
-      EXPECT_EQ(entry.first, legacy_entry.first);
-      EXPECT_EQ(entry.second, legacy_entry.second);
+      EXPECT_EQ(view.request(), legacy.request());
+      EXPECT_EQ(view.route(), legacy.route());
       ++it;
     }
     EXPECT_TRUE(it == legacy_view.end());
@@ -414,17 +409,16 @@ TEST(Reinstall, RevivesExactlyTheReleasedId) {
   const MulticastRequest request{{0, 0}, {{2, 0}}};
   const auto id = sw.try_connect(request);
   ASSERT_TRUE(id.has_value());
-  const Route route = network.find_connection(*id)->second;
+  const Route route = network.connections().at(*id).route();
 
   sw.disconnect(*id);
-  EXPECT_EQ(network.find_connection(*id), nullptr);
+  EXPECT_FALSE(network.connections().contains(*id));
 
   const ConnectionId revived = network.reinstall(*id, request, route);
   EXPECT_EQ(revived, *id);
-  const auto* entry = network.find_connection(*id);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->first, request);
-  EXPECT_EQ(entry->second, route);
+  ASSERT_TRUE(network.connections().contains(*id));
+  EXPECT_EQ(network.connections().at(*id).request(), request);
+  EXPECT_EQ(network.connections().at(*id).route(), route);
   network.self_check();
 
   // A revived slot is active again: reinstalling twice must throw.
@@ -458,13 +452,13 @@ TEST(Reinstall, SplicesBackAtTheRequestedViewPosition) {
   };
 
   // Release the middle session and splice it back where it was.
-  const Route route_b = network.find_connection(*b)->second;
+  const Route route_b = network.connections().at(*b).route();
   sw.disconnect(*b);
   EXPECT_EQ(network.reinstall(*b, rb, route_b, *a), *b);
   EXPECT_EQ(order(), (std::vector<ConnectionId>{*a, *b, *c}));
 
   // Release the head and splice it back to the head (after = 0).
-  const Route route_a = network.find_connection(*a)->second;
+  const Route route_a = network.connections().at(*a).route();
   sw.disconnect(*a);
   EXPECT_EQ(network.reinstall(*a, ra, route_a, 0), *a);
   EXPECT_EQ(order(), (std::vector<ConnectionId>{*a, *b, *c}));
@@ -490,7 +484,7 @@ TEST(Reinstall, RejectsActiveReusedAndUnknownIds) {
   const MulticastRequest first{{0, 0}, {{2, 0}}};
   const auto id = sw.try_connect(first);
   ASSERT_TRUE(id.has_value());
-  const Route route = network.find_connection(*id)->second;
+  const Route route = network.connections().at(*id).route();
 
   // Active slot.
   EXPECT_THROW((void)network.reinstall(*id, first, route), std::logic_error);
@@ -529,7 +523,7 @@ TEST(Reinstall, ExecutorRollbackRevivesVictimsUnderOriginalIds) {
   // The transaction is invisible: same ids, same routes, same occupancy.
   const FabricSnapshot after = FabricSnapshot::of(sw.network());
   before.expect_equal(after);
-  EXPECT_EQ(sw.network().find_connection(*extra), nullptr);
+  EXPECT_FALSE(sw.network().connections().contains(*extra));
   sw.network().self_check();
 }
 

@@ -44,7 +44,7 @@ TEST(Router, FullFanoutMulticastOnEmptyNetwork) {
   const auto id = sw.try_connect({{0, 1}, {{0, 1}, {2, 1}, {4, 1}}});
   ASSERT_TRUE(id.has_value());
   // Spread 1: a single middle module carries all three legs.
-  EXPECT_EQ(sw.network().connections().at(*id).second.spread(), 1u);
+  EXPECT_EQ(sw.network().connections().at(*id).spread(), 1u);
 }
 
 TEST(Router, AdmissionErrorsSurfaceInLastError) {

@@ -96,7 +96,7 @@ TEST_P(TheoremProperty, AdmissibleRequestsNeverBlockAtTheBound) {
           live.pop_back();
         } else {
           // Grow: release, then the request plus one destination must route.
-          MulticastRequest grown = network.find_connection(live[victim])->first;
+          MulticastRequest grown = network.connections().at(live[victim]).request();
           sw.disconnect(live[victim]);
           if (const auto extra = extra_output(rng, network, grown)) {
             grown.outputs.push_back(*extra);
