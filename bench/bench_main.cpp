@@ -310,6 +310,107 @@ BenchResult bench_routing_wide(bool tiny) {
   return result;
 }
 
+BenchResult bench_engine_wide(bool tiny) {
+  // Engine commit cost against m at the soak geometry's fabric (n = r =
+  // 128, k = 64, MSW-dominant/MSW, one shard): m = 136 and m = 936, the
+  // Theorem 1 bound. Each m gets a fresh engine loaded with fanout 1-4
+  // sessions, then timed disconnect + connect pairs at that load; the per-m
+  // engine.disconnect_ns and engine.connect_ns p50s go into params. Both
+  // include the health publish, which rewrites the header and the counts
+  // of the middles the op touched, so the m = 936 disconnect should stay
+  // within 1.5x of m = 136. Report only: no wall-clock gate. The emitted
+  // metrics are the last (m = 936) run's.
+  const std::size_t n = 128;
+  const std::size_t k = 64;
+  const std::size_t fill = tiny ? 256 : 32768;
+  const std::size_t probes = tiny ? 256 : 20000;
+  const std::size_t max_fanout = 4;
+  struct PerM {
+    std::size_t m;
+    std::size_t disconnect_p50_ns = 0;
+    std::size_t connect_p50_ns = 0;
+    bool ok = false;
+  };
+  std::vector<PerM> runs{{136}, {theorem1_min_m(n, n).m}};
+  for (PerM& run : runs) {
+    engine::EngineConfig config;
+    config.params = {n, n, run.m, k};
+    config.shards = 1;
+    engine::ShardedEngine engine(config);
+    // One thread and no executor, so reading the fabric between ops is safe.
+    const ThreeStageNetwork& network = engine.shard_switch(0).network();
+    Rng rng(0x5EED);
+    std::vector<engine::SessionId> live;
+    live.reserve(fill);
+    std::size_t blocked = 0;
+    for (std::size_t draw = 0; draw < 4 * fill && live.size() < fill; ++draw) {
+      if (const auto request = draw_msw_request(rng, network, max_fanout)) {
+        if (const auto session = engine.connect(*request)) {
+          live.push_back(*session);
+        } else {
+          ++blocked;
+        }
+      }
+    }
+    metrics().reset();
+    TimerStat& disconnect_timer = metrics().timer("engine.disconnect_ns");
+    TimerStat& connect_timer = metrics().timer("engine.connect_ns");
+    std::size_t disconnects = 0;
+    for (std::size_t probe = 0; probe < probes && !live.empty(); ++probe) {
+      // Drawn before the disconnect, so it cannot reuse what that frees.
+      const auto request = draw_msw_request(rng, network, max_fanout);
+      if (!request) continue;
+      const std::size_t victim = rng.next_below(live.size());
+      {
+        ScopedTimer timer(disconnect_timer);
+        disconnects += engine.disconnect(live[victim]) ? 1 : 0;
+      }
+      std::optional<engine::SessionId> session;
+      {
+        ScopedTimer timer(connect_timer);
+        session = engine.connect(*request);
+      }
+      if (session) {
+        live[victim] = *session;
+      } else {
+        ++blocked;
+        live[victim] = live.back();
+        live.pop_back();
+      }
+    }
+    run.disconnect_p50_ns = disconnect_timer.percentile_ns(0.5);
+    run.connect_p50_ns = connect_timer.percentile_ns(0.5);
+    engine.self_check();
+    const obs::EngineHealthSnapshot snapshot = engine.health_snapshot(0);
+    bool snapshot_ok = snapshot.consistent() &&
+                       snapshot.sessions == live.size() &&
+                       snapshot.disconnects == disconnects;
+    for (std::size_t j = 0; j < run.m; ++j) {
+      snapshot_ok = snapshot_ok && snapshot.middle_busy_lanes(j) ==
+                                       network.middle_module(j).busy_out_lanes();
+    }
+    run.ok = blocked == 0 && live.size() == fill && snapshot_ok;
+  }
+
+  BenchResult result;
+  result.params_json =
+      params_of({{"n", n},
+                 {"r", n},
+                 {"k", k},
+                 {"shards", 1},
+                 {"fill_sessions", fill},
+                 {"probes", probes},
+                 {"m_low", runs[0].m},
+                 {"m_bound", runs[1].m},
+                 {"engine_disconnect_p50_ns_m_low", runs[0].disconnect_p50_ns},
+                 {"engine_disconnect_p50_ns_m_bound", runs[1].disconnect_p50_ns},
+                 {"engine_connect_p50_ns_m_low", runs[0].connect_p50_ns},
+                 {"engine_connect_p50_ns_m_bound", runs[1].connect_p50_ns}},
+                {{"construction", "msw-dominant"}});
+  result.ok = runs[0].ok && runs[1].ok;
+  return result;
+}
+
 BenchResult bench_routing_repack(bool tiny) {
   // Rearrangeable mode below the bound (DESIGN.md §3.12): provision m at 75%
   // of the Theorem 1 requirement, then run the same churn twice -- classic
@@ -822,6 +923,9 @@ const std::vector<BenchCase>& bench_cases() {
       {"routing_wide",
        "cover-search cost at n=r=128, k=64: m=136 vs the Theorem 1 bound 936",
        bench_routing_wide},
+      {"engine_wide",
+       "engine disconnect/connect cost at n=r=128, k=64: m=136 vs the Theorem 1 bound 936",
+       bench_engine_wide},
       {"routing_repack",
        "repack-on-block churn at half the Theorem 1 middle stage",
        bench_routing_repack},

@@ -68,10 +68,7 @@ ShardedEngine::Shard::Shard(std::uint32_t index, const EngineConfig& config)
          config.policy),
       flight(index),
       health(obs::EngineHealthSnapshot::encoded_words(config.params.m,
-                                                      config.params.r)),
-      encode_scratch(obs::EngineHealthSnapshot::encoded_words(config.params.m,
-                                                              config.params.r),
-                     0) {
+                                                      config.params.r)) {
   if (config.repack.enabled) sw.enable_repack(config.repack);
 }
 
@@ -99,52 +96,53 @@ ShardedEngine::ShardedEngine(const EngineConfig& config)
 }
 
 void ShardedEngine::publish_health(Shard& shard) {
-  const ThreeStageNetwork& network = shard.sw.network();
+  ThreeStageNetwork& network = shard.sw.network();
   const ClosParams& params = network.params();
-  std::uint64_t* words = shard.encode_scratch.data();
-
-  words[0] = ++shard.publish_version;
-  words[1] = shard.flight.shard();
-  words[2] = params.m;
-  words[3] = params.r;
-  words[4] = network.active_connections();
-  // words[5] (busy_middle_lanes) filled below from the per-middle counts.
-  words[6] = shard.connects;
-  words[7] = shard.disconnects;
-  words[8] = shard.grows;
-  words[9] = shard.grow_blocked;
-  words[10] = shard.stale_rejected;
-  words[11] = bound_.m;
   const FaultModel* faults = network.active_fault_model();
   const std::uint64_t failed =
       faults == nullptr ? 0 : faults->failed_middle_count();
-  words[12] = failed;
   const std::uint64_t effective = failed >= params.m ? 0 : params.m - failed;
   const std::int64_t margin = static_cast<std::int64_t>(effective) -
                               static_cast<std::int64_t>(bound_.m);
-  words[13] = static_cast<std::uint64_t>(margin);
-  words[14] = margin >= 0 ? 1 : 0;
   const repack::RepackEngine* repacker = shard.sw.repack_engine();
-  words[15] = repacker == nullptr ? 0 : repacker->sessions_moved_total();
-  words[16] = repacker == nullptr ? 0 : repacker->max_chain_length();
-
-  std::uint64_t busy = 0;
-  for (std::size_t j = 0; j < params.m; ++j) {
-    const std::uint64_t lanes = network.middle_module(j).busy_out_lanes();
-    words[obs::EngineHealthSnapshot::kHeaderWords + j] = lanes;
-    busy += lanes;
-  }
-  words[5] = busy;
-
-  shard.health.publish(words, shard.encode_scratch.size());
+  const std::uint64_t header[obs::EngineHealthSnapshot::kHeaderWords] = {
+      ++shard.publish_version,
+      shard.flight.shard(),
+      params.m,
+      params.r,
+      network.active_connections(),
+      network.busy_middle_lanes(),
+      shard.connects,
+      shard.disconnects,
+      shard.grows,
+      shard.grow_blocked,
+      shard.stale_rejected,
+      bound_.m,
+      failed,
+      static_cast<std::uint64_t>(margin),
+      margin >= 0 ? 1u : 0u,
+      repacker == nullptr ? 0 : repacker->sessions_moved_total(),
+      repacker == nullptr ? 0 : repacker->max_chain_length(),
+  };
+  // The payload stays resident: besides the header, only the counts of the
+  // middles whose occupancy changed since the last publish are rewritten
+  // (all m on the constructor's first publish; see drain_dirty_middles).
+  shard.health.update([&](const obs::SeqlockSnapshotSlot::Writer& out) {
+    for (std::size_t i = 0; i < obs::EngineHealthSnapshot::kHeaderWords; ++i) {
+      out.store(i, header[i]);
+    }
+    network.drain_dirty_middles([&](std::size_t j, std::size_t lanes) {
+      out.store(obs::EngineHealthSnapshot::kHeaderWords + j, lanes);
+    });
+  });
   EngineMetrics::get().snapshot_publishes.add();
 }
 
 obs::EngineHealthSnapshot ShardedEngine::health_snapshot(
     std::size_t shard) const {
   const Shard& owner = *shards_.at(shard);
-  // Stack buffer sized from the (immutable) geometry: the read itself makes
-  // no heap allocation and takes no lock; only decoding copies to a vector.
+  // The read takes no lock. It copies into a heap buffer sized from the
+  // (immutable) geometry, which decoding then copies into the snapshot.
   std::vector<std::uint64_t> buffer(owner.health.capacity());
   std::size_t retries = 0;
   owner.health.read(buffer.data(), buffer.size(), &retries);

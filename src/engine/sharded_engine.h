@@ -268,8 +268,8 @@ class ShardedEngine {
   friend class ShardExecutor;
   /// Claim + replica, heap-pinned and padded so two shards' hot state never
   /// shares a cache line. The observability tail (tallies, flight ring,
-  /// seqlock slot, encode scratch) is written only under the claim; the
-  /// seqlock slot is additionally read lock-free.
+  /// seqlock slot) is written only under the claim; the seqlock slot is
+  /// additionally read lock-free.
   struct alignas(64) Shard {
     Shard(std::uint32_t index, const EngineConfig& config);
     /// The single-writer claim (see the header note).
@@ -284,8 +284,6 @@ class ShardedEngine {
     std::uint64_t publish_version = 0;
     obs::FlightRecorder flight;
     obs::SeqlockSnapshotSlot health;
-    /// Reusable encode buffer (sized once, so publishing allocates nothing).
-    std::vector<std::uint64_t> encode_scratch;
     /// grow_locked's scratch, reused once warm: the grown request, and the
     /// session's record words a rollback rebuilds the original from.
     MulticastRequest grow_request;
@@ -296,8 +294,9 @@ class ShardedEngine {
     obs::SessionGenTable session_table;
   };
 
-  /// Encode the shard's current state and publish it through the seqlock
-  /// slot. Requires exclusive shard access (the single-writer contract).
+  /// Publish the shard's current state through the seqlock slot: the
+  /// header, plus the busy counts of the middles touched since the last
+  /// publish. Requires exclusive shard access (the single-writer contract).
   void publish_health(Shard& shard);
 
   /// Take the claim iff it is free. Acquire on success.

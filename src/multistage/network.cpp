@@ -179,6 +179,8 @@ ThreeStageNetwork::ThreeStageNetwork(ClosParams params, Construction constructio
   fill_rows(cand_any_, params_.r);
   fill_rows(serve_lane_, params_.r * params_.k);
   fill_rows(serve_any_, params_.r);
+  // Every middle starts marked, so the first drain reads out all m counts.
+  dirty_middles_ = all_free;
 }
 
 MulticastModel ThreeStageNetwork::inner_model() const {
@@ -541,6 +543,9 @@ void ThreeStageNetwork::apply_record(const RecordView& view, bool occupy) {
         stage == Stage::kInput ? inputs_ : stage == Stage::kMiddle ? middles_ : outputs_;
     occupy ? modules[module].occupy(in, outs) : modules[module].vacate(in, outs);
     if (stage == Stage::kMiddle) {  // link in.port -> module, lane in.lane
+      dirty_middles_[module >> 6] |= 1ull << (module & 63);
+      busy_middle_lanes_ = occupy ? busy_middle_lanes_ + outs.size()
+                                  : busy_middle_lanes_ - outs.size();
       const SwitchModule& input = inputs_[in.port];
       assign_bit(cand_lane_.data() + (in.port * params_.k + in.lane) * row_words_,
                  module, !occupy);
@@ -667,6 +672,12 @@ void ThreeStageNetwork::self_check() const {
       throw std::logic_error(
           "ThreeStageNetwork: endpoint words diverged from connection table");
     }
+  }
+  std::size_t middle_busy = 0;
+  for (const SwitchModule& middle : middles_) middle_busy += middle.busy_out_lanes();
+  if (middle_busy != busy_middle_lanes_) {
+    throw std::logic_error(
+        "ThreeStageNetwork: busy-lane total diverged from the middle modules");
   }
 
   // Re-derive all four row families from the module occupancy words.

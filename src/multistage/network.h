@@ -45,6 +45,7 @@
 //     (obs/session_table.h), never through the network.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -281,6 +282,25 @@ class ThreeStageNetwork {
                : serve_lane_.data() + (out_module * params_.k + lane) * row_words_;
   }
 
+  // -- middle-stage busy counts (the engine's health publish) ----------------
+  /// Busy lanes on every middle module's outgoing links: the sum of
+  /// middle_module(j).busy_out_lanes(), kept by delta in O(route).
+  [[nodiscard]] std::size_t busy_middle_lanes() const { return busy_middle_lanes_; }
+  /// Visit each middle module a record was committed through or released
+  /// from since the last drain (every middle, on the first drain) once, in
+  /// index order, as visit(j, middle_module(j).busy_out_lanes()), and clear
+  /// the marks. O(touched middles + row_words()).
+  template <typename Visit>
+  void drain_dirty_middles(Visit&& visit) {
+    for (std::size_t w = 0; w < row_words_; ++w) {
+      for (std::uint64_t bits = std::exchange(dirty_middles_[w], 0); bits != 0;
+           bits &= bits - 1) {
+        const std::size_t j = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        visit(j, middles_[j].busy_out_lanes());
+      }
+    }
+  }
+
   // -- admission ------------------------------------------------------------
   /// Shape legality under the network model plus endpoint availability.
   [[nodiscard]] std::optional<ConnectError> check_admissible(
@@ -387,9 +407,10 @@ class ThreeStageNetwork {
   /// Deep consistency check: vacating every connection record from copies of
   /// the modules succeeds and leaves them idle (no lane held twice, none
   /// held without a record), every busy-lane count matches its words, the
-  /// output endpoint words match the records' request outputs, and all four
+  /// output endpoint words match the records' request outputs, all four
   /// middle-stage row families match a re-derivation from the module
-  /// occupancy words. Throws std::logic_error on failure.
+  /// occupancy words, and busy_middle_lanes() matches the middles' counts.
+  /// Throws std::logic_error on failure.
   void self_check() const;
 
  private:
@@ -492,6 +513,11 @@ class ThreeStageNetwork {
   std::vector<std::uint64_t> cand_any_;    // i * row_words_
   std::vector<std::uint64_t> serve_lane_;  // (p * k + lane) * row_words_
   std::vector<std::uint64_t> serve_any_;   // p * row_words_
+
+  // Middles touched since the last drain_dirty_middles, one bit each in a
+  // row laid out like the rows above, and their busy lanes' running total.
+  std::vector<std::uint64_t> dirty_middles_;
+  std::size_t busy_middle_lanes_ = 0;
 
   // Reusable scratch for check_route and the record walks (capacity
   // survives calls, so steady-state validation is allocation-free). The

@@ -115,15 +115,9 @@ void SeqlockSnapshotSlot::publish(const std::uint64_t* words,
   if (count > capacity_) {
     throw std::invalid_argument("SeqlockSnapshotSlot::publish: over capacity");
   }
-  const std::uint64_t s = seq_.load(std::memory_order_relaxed);
-  // Odd sequence marks the write section; the release fence orders it
-  // before every payload store as observed by an acquire-fenced reader.
-  seq_.store(s + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  for (std::size_t i = 0; i < count; ++i) {
-    words_[i].store(words[i], std::memory_order_relaxed);
-  }
-  seq_.store(s + 2, std::memory_order_release);
+  update([&](const Writer& out) {
+    for (std::size_t i = 0; i < count; ++i) out.store(i, words[i]);
+  });
 }
 
 std::uint64_t SeqlockSnapshotSlot::read(std::uint64_t* out, std::size_t count,

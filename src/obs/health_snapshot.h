@@ -10,12 +10,14 @@
 // any thread can read the latest one with zero mutex acquisition.
 //
 // Publication protocol (DESIGN.md §3.11): a classic single-writer seqlock
-// over a flat array of relaxed-atomic uint64 words.
+// over a flat array of relaxed-atomic uint64 words. The payload stays
+// resident between publications, so a write section stores only the words
+// that changed; the rest keep the previous publication's values.
 //
 //   writer (holds the shard's claim, so writes never race each other):
 //     seq.store(s+1, relaxed);              // odd = write in progress
 //     atomic_thread_fence(release);
-//     words[i].store(..., relaxed);         // payload
+//     words[i].store(..., relaxed);         // the changed payload words
 //     seq.store(s+2, release);              // even = quiescent
 //
 //   reader (any thread, no locks):
@@ -33,11 +35,12 @@
 //
 // The snapshot itself carries what the wire-protocol front-end's admission
 // control will need: live session count, the busy-lane count of each middle
-// module (17 + m words in all, kept incrementally by SwitchModule so a
-// publish is O(m)), the Theorem-1/2 margin under the shard's current fault
-// state, and cumulative churn tallies. Per-link occupancy words are not
-// published; they stay readable through ShardedEngine::shard_switch(s)
-// inside with_shard_exclusive(s, ...).
+// module (17 + m words in all), the Theorem-1/2 margin under the shard's
+// current fault state, and cumulative churn tallies. A publish rewrites the
+// header and only the counts of the middles the op's routes touched, so it
+// is O(route), not O(m). Per-link occupancy words are not published; they
+// stay readable through ShardedEngine::shard_switch(s) inside
+// with_shard_exclusive(s, ...).
 #pragma once
 
 #include <atomic>
@@ -132,7 +135,35 @@ class SeqlockSnapshotSlot {
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Publish `count` words (count <= capacity). Single writer only.
+  /// Stores payload words inside an update()'s write section.
+  class Writer {
+   public:
+    /// Set payload word i (i < capacity()).
+    void store(std::size_t i, std::uint64_t value) const {
+      words_[i].store(value, std::memory_order_relaxed);
+    }
+
+   private:
+    friend class SeqlockSnapshotSlot;
+    explicit Writer(std::atomic<std::uint64_t>* words) : words_(words) {}
+    std::atomic<std::uint64_t>* words_;
+  };
+
+  /// One publication that rewrites only the words write(const Writer&)
+  /// stores; every other word keeps its previous value. `write` must not
+  /// throw: readers spin while the section is open. Single writer only.
+  template <typename Write>
+  void update(Write&& write) {
+    const std::uint64_t s = seq_.load(std::memory_order_relaxed);
+    // Odd sequence marks the write section; the release fence orders it
+    // before every payload store as observed by an acquire-fenced reader.
+    seq_.store(s + 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+    write(Writer(words_.get()));
+    seq_.store(s + 2, std::memory_order_release);
+  }
+
+  /// Publish words [0, count) (count <= capacity). Single writer only.
   void publish(const std::uint64_t* words, std::size_t count);
 
   /// Read a consistent copy of the payload into `out`. Lock-free: spins on

@@ -15,6 +15,7 @@
 
 #include "engine/sharded_engine.h"
 #include "faults/fault_model.h"
+#include "faults/resilience.h"
 #include "sim/request.h"
 #include "util/rng.h"
 
@@ -316,6 +317,105 @@ TEST(ShardedEngine, PublishedMiddleBusyHoldsWithFailedMiddles) {
       EXPECT_EQ(snapshot.middle_busy_lanes(j), 0u) << "failed middle " << j;
     }
   }
+  engine.self_check();
+}
+
+TEST(ShardedEngine, PublishedMiddleBusySpansSeveralBitsetWords) {
+  // m = 72: the publish's dirty-middle bitset is two words wide. Seeded
+  // churn through every engine op, then middles 0-63 of shard 0 fail and
+  // restore_connections reroutes its sessions, so middles 64-71 carry them.
+  EngineConfig config;
+  config.params = {4, 4, 72, 2};
+  config.shards = 2;
+  FaultModel faults(config.params);  // declared first: outlives the engine
+  ShardedEngine engine(config);
+  expect_busy_matches_fabric(engine, "empty");
+
+  Rng rng(0x72B175);
+  std::vector<SessionId> live;
+  std::vector<SessionId> dead;
+  std::size_t grown = 0;
+  std::size_t blocked = 0;
+  std::size_t migrated = 0;
+  bool high_middle_busy = false;
+  const auto lane_of = [&](SessionId session) {
+    return engine.shard_switch(session.shard).network().connections().at(
+        session.connection).input().lane;
+  };
+  const auto retire = [&](std::size_t victim) {
+    dead.push_back(live[victim]);
+    live[victim] = live.back();
+    live.pop_back();
+  };
+  for (int step = 0; step < 1200; ++step) {
+    if (step == 600) {
+      for (std::size_t j = 0; j < 64; ++j) faults.fail_middle(j);
+      RestorationReport report;
+      engine.with_shard_exclusive(0, [&] {
+        engine.shard_switch(0).network().attach_fault_model(&faults);
+        report = restore_connections(engine.shard_switch(0));
+      });
+      EXPECT_GT(report.restored.size(), 0u);
+      for (SessionId& session : live) {
+        if (session.shard != 0) continue;
+        for (const auto& [old_id, new_id] : report.restored) {
+          if (old_id == session.connection) session.connection = new_id;
+        }
+      }
+      for (const auto& [old_id, request] : report.dropped) {
+        retire(std::find(live.begin(), live.end(), SessionId{0, old_id}) - live.begin());
+      }
+      // The restore ran outside the engine's ops; a stale op republishes.
+      EXPECT_FALSE(engine.disconnect({0, ~ConnectionId{0}}));
+      expect_busy_matches_fabric(engine, "restore");
+    }
+    const std::uint64_t op = rng.next_below(100);
+    std::string what;
+    if (live.empty() || op < 45) {
+      const std::size_t port = rng.next_below(engine.port_count());
+      const auto request = random_admissible_request(
+          rng, engine.shard_switch(engine.shard_of(port)).network(),
+          FanoutRange{1, 3}, {port});
+      if (!request) continue;
+      if (const auto id = engine.connect(*request)) live.push_back(*id);
+      what = "connect";
+    } else if (op < 65) {
+      const std::size_t victim = rng.next_below(live.size());
+      ASSERT_TRUE(engine.disconnect(live[victim]));
+      retire(victim);
+      what = "disconnect";
+    } else if (op < 80) {
+      SessionId& session = live[rng.next_below(live.size())];
+      const GrowResult result = engine.grow(
+          session, {rng.next_below(engine.port_count()), lane_of(session)});
+      ASSERT_NE(result.status, GrowResult::Status::kStaleSession);
+      ++(result.status == GrowResult::Status::kGrown ? grown : blocked);
+      session.connection = result.connection;
+      what = "grow";
+    } else if (op < 90) {
+      const std::size_t victim = rng.next_below(live.size());
+      const CrossGrowResult result = engine.grow_anywhere(
+          live[victim], {rng.next_below(engine.port_count()), lane_of(live[victim])});
+      ASSERT_NE(result.status, GrowResult::Status::kStaleSession);
+      if (result.session.shard != live[victim].shard) ++migrated;
+      live[victim] = result.session;
+      what = "grow_anywhere";
+    } else if (!dead.empty()) {
+      const SessionId stale = dead[rng.next_below(dead.size())];
+      EXPECT_FALSE(engine.disconnect(stale));
+      EXPECT_EQ(engine.grow(stale, {0, 0}).status, GrowResult::Status::kStaleSession);
+      what = "stale ops";
+    }
+    expect_busy_matches_fabric(engine, what + " at step " + std::to_string(step));
+    const obs::EngineHealthSnapshot snapshot = engine.health_snapshot(0);
+    for (std::size_t j = 64; j < config.params.m; ++j) {
+      high_middle_busy = high_middle_busy || snapshot.middle_busy_lanes(j) != 0;
+    }
+  }
+  EXPECT_GT(grown, 0u);
+  EXPECT_GT(blocked, 0u);
+  EXPECT_GT(migrated, 0u);
+  EXPECT_TRUE(high_middle_busy);
   engine.self_check();
 }
 

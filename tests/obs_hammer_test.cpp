@@ -1,9 +1,11 @@
 // TSan-labelled hammer for the observability plane (run under
 // ThreadSanitizer by the tsan CI job, like the other `tsan` tests).
 //
-// Two layers. The raw SeqlockSnapshotSlot hammer publishes torn-detectable
-// payloads (every word equal) at full rate while readers assert no read ever
-// mixes two publications. The engine hammer runs real multi-worker churn
+// Two layers. The raw SeqlockSnapshotSlot hammers publish torn-detectable
+// payloads at full rate while readers assert no read ever mixes two
+// publications: full rewrites with every word equal, and sparse update()s
+// that rewrite a few words and keep word 0 equal to the sum of the rest.
+// The engine hammer runs real multi-worker churn
 // while reader threads spin on health_snapshot(); every observed snapshot
 // must be internally consistent -- occupancy popcount equals the published
 // busy-lane sum, the margin matches recomputation from (m, failed, bound)
@@ -11,6 +13,7 @@
 // the data-race proof for the Boehm-style relaxed-atomic seqlock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -19,6 +22,7 @@
 #include "engine/churn_driver.h"
 #include "engine/sharded_engine.h"
 #include "obs/health_snapshot.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace wdm {
@@ -71,6 +75,66 @@ TEST(SeqlockHammer, ReadersNeverObserveATornPublication) {
   std::uint64_t out[kWords];
   (void)slot.read(out, kWords);
   EXPECT_EQ(out[0], kPublications);  // the final publication is visible
+}
+
+TEST(SeqlockHammer, SparseUpdatesNeverExposeAHalfWrittenSum) {
+  // The engine's publish pattern: the payload stays resident and each
+  // update() stores only the words that changed. Word 0 is the sum of the
+  // rest, so a read mixing two publications breaks the sum.
+  constexpr std::size_t kWords = 80;
+  constexpr std::size_t kReaders = 3;
+  constexpr std::uint64_t kPublications = 20000;
+  SeqlockSnapshotSlot slot(kWords);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> ready{0};
+  std::atomic<std::uint64_t> torn{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      std::uint64_t out[kWords];
+      std::uint64_t last_seq = 0;
+      const auto check = [&] {
+        const std::uint64_t seq = slot.read(out, kWords);
+        std::uint64_t sum = 0;
+        for (std::size_t i = 1; i < kWords; ++i) sum += out[i];
+        if (out[0] != sum) torn.fetch_add(1, std::memory_order_relaxed);
+        if (seq < last_seq) torn.fetch_add(1, std::memory_order_relaxed);
+        last_seq = seq;
+      };
+      check();
+      ready.fetch_add(1, std::memory_order_release);
+      ready.notify_all();
+      while (!done.load(std::memory_order_relaxed)) check();
+    });
+  }
+  // Start handshake: every reader is running before the first update.
+  for (std::size_t n; (n = ready.load(std::memory_order_acquire)) < kReaders;) {
+    ready.wait(n, std::memory_order_acquire);
+  }
+
+  Rng rng(0x5EA10C);
+  std::uint64_t shadow[kWords] = {};
+  for (std::uint64_t publication = 1; publication <= kPublications; ++publication) {
+    slot.update([&](const SeqlockSnapshotSlot::Writer& out) {
+      for (std::uint64_t changes = 1 + rng.next_below(4); changes > 0; --changes) {
+        const std::size_t i = 1 + rng.next_below(kWords - 1);
+        shadow[0] -= shadow[i];
+        shadow[i] = rng.next_below(1u << 20);
+        shadow[0] += shadow[i];
+        out.store(i, shadow[i]);
+      }
+      out.store(0, shadow[0]);
+    });
+  }
+  done.store(true, std::memory_order_relaxed);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(torn.load(), 0u);
+  std::uint64_t out[kWords];
+  EXPECT_EQ(slot.read(out, kWords), 2 * kPublications);
+  EXPECT_TRUE(std::equal(out, out + kWords, shadow));  // resident payload
 }
 
 TEST(SeqlockHammer, EngineSnapshotsStayConsistentUnderFullRateChurn) {
