@@ -21,13 +21,55 @@ struct DriverMetrics {
   Counter& batches = metrics().counter("engine.batches");
   Counter& arrivals = metrics().counter("engine.arrivals");
   Counter& blocked = metrics().counter("engine.blocked");
+  Counter& stale_rejected = metrics().counter("engine.stale_rejected");
+  Counter& grow_blocked = metrics().counter("engine.grow_blocked");
   TimerStat& drain_batch = metrics().timer("engine.drain_batch");
   Histogram& request_fanout = metrics().histogram("engine.request_fanout");
   Histogram& grow_candidates = metrics().histogram("engine.grow_candidates");
+  const ChurnInstruments churn{.stale_rejected = &stale_rejected,
+                               .grow_blocked = &grow_blocked,
+                               .grow_candidates = &grow_candidates};
 
   static DriverMetrics& get() {
     static DriverMetrics instance;
     return instance;
+  }
+};
+
+/// Invariant-violation exit: dump every shard's flight recorder to stderr
+/// (the post-mortem window CI uploads), then throw std::logic_error(what).
+[[noreturn]] void fail(const ShardedEngine& engine, const char* what) {
+  engine.dump_flight_recorders(std::cerr);
+  throw std::logic_error(what);
+}
+
+/// churn_step's op target: one shard's *_locked calls, made under its claim.
+/// The engine counts its own admits, disconnects and grows.
+struct ShardTarget {
+  ShardedEngine& engine;
+  std::size_t shard;
+
+  MultistageSwitch& sw() { return engine.shard_switch(shard); }
+  std::optional<ConnectionId> connect(const MulticastRequest& request) {
+    DriverMetrics& instruments = DriverMetrics::get();
+    instruments.arrivals.add();
+    instruments.request_fanout.record(request.outputs.size());
+    const auto id = engine.connect_locked(shard, request);
+    if (!id) instruments.blocked.add();
+    return id;
+  }
+  void disconnect(ConnectionId id) {
+    if (!engine.disconnect_locked(shard, id)) {
+      fail(engine, "ChurnDriver: live session rejected as stale");
+    }
+  }
+  /// {grown, the session's new id}: a blocked grow renews the id too.
+  std::pair<bool, ConnectionId> grow(ConnectionId id, const WavelengthEndpoint& destination) {
+    const GrowResult result = engine.grow_locked(shard, id, destination);
+    if (result.status == GrowResult::Status::kStaleSession) {
+      fail(engine, "ChurnDriver: grow lost a live session");
+    }
+    return {result.status == GrowResult::Status::kGrown, result.connection};
   }
 };
 
@@ -45,169 +87,25 @@ std::string ChurnStats::to_string() const {
 ChurnDriver::ChurnDriver(ShardedEngine& engine, ChurnConfig config)
     : engine_(&engine), config_(config) {}
 
-void ChurnDriver::fail(const char* what) const {
-  engine_->dump_flight_recorders(std::cerr);
-  throw std::logic_error(what);
-}
-
-void ChurnDriver::remember_stale(Lane& lane, ConnectionId id) {
-  if (lane.stale.size() < kStaleRing) {
-    lane.stale.push_back(id);
-  } else {
-    lane.stale[lane.stale_cursor] = id;
-    lane.stale_cursor = (lane.stale_cursor + 1) % kStaleRing;
-  }
-}
-
 void ChurnDriver::tick(Lane& lane) {
-  DriverMetrics& instruments = DriverMetrics::get();
-  MultistageSwitch& sw = engine_->shard_switch(lane.shard);
-  ThreeStageNetwork& network = sw.network();
-  ShardChurnStats& stats = lane.stats;
-  SimStats& sim = stats.sim;
-
-  ++sim.steps;
-  sim.active_connection_steps += lane.active.size();
-
-  // Stale-id probe: replay a disposed (possibly slot-reused) id against the
-  // shard; the generation tag must reject it without touching anything.
-  if (!lane.stale.empty() && lane.rng.next_bool(config_.stale_probe_fraction)) {
-    ++stats.stale_probes;
-    const ConnectionId stale =
-        lane.stale[lane.rng.next_below(lane.stale.size())];
-    if (network.try_release(stale)) {
-      ++stats.stale_accepted;  // corruption; surfaced by every caller's checks
-    } else {
-      ++stats.stale_rejected;
-      metrics().counter("engine.stale_rejected").add();
-    }
-  }
-
-  const bool arrive =
-      lane.active.empty() || lane.rng.next_bool(config_.arrival_fraction);
-  if (arrive) {
-    const auto request = random_admissible_request(
-        lane.rng, network, config_.fanout, engine_->owned_ports(lane.shard));
-    if (request) {
-      ++sim.attempts;
-      instruments.arrivals.add();
-      instruments.request_fanout.record(request->outputs.size());
-      if (const auto id = engine_->connect_locked(lane.shard, *request)) {
-        ++sim.admitted;
-        sim.conversions += conversions_in_route(network.connections().at(*id));
-        lane.active.push_back(*id);
-        sim.max_concurrent = std::max(sim.max_concurrent, lane.active.size());
-      } else {
-        ++sim.blocked;
-        instruments.blocked.add();
-      }
-    }
-  } else if (lane.rng.next_bool(config_.grow_fraction)) {
-    grow_tick(lane, static_cast<std::size_t>(
-                        lane.rng.next_below(lane.active.size())));
-  } else {
-    const std::size_t victim =
-        static_cast<std::size_t>(lane.rng.next_below(lane.active.size()));
-    const ConnectionId id = lane.active[victim];
-    if (!engine_->disconnect_locked(lane.shard, id)) {
-      fail("ChurnDriver: live session rejected as stale");
-    }
-    remember_stale(lane, id);
-    lane.active[victim] = lane.active.back();
-    lane.active.pop_back();
-    ++sim.departures;
-  }
-
+  ShardTarget target{*engine_, lane.shard};
+  const ChurnMix mix{.arrival_fraction = config_.arrival_fraction,
+                     .grow_fraction = config_.grow_fraction,
+                     .stale_probe_fraction = config_.stale_probe_fraction,
+                     .fanout = config_.fanout,
+                     .source_ports = &engine_->owned_ports(lane.shard)};
+  churn_step(target, lane.stream, mix, DriverMetrics::get().churn);
   if (config_.self_check_every != 0 &&
-      sim.steps % config_.self_check_every == 0) {
-    network.self_check();
+      lane.stream.tally.sim.steps % config_.self_check_every == 0) {
+    target.sw().network().self_check();
   }
-}
-
-void ChurnDriver::grow_tick(Lane& lane, std::size_t victim) {
-  ShardChurnStats& stats = lane.stats;
-  ++stats.grow_attempts;
-  ThreeStageNetwork& network = engine_->shard_switch(lane.shard).network();
-  const ConnectionId id = lane.active[victim];
-  if (!network.connections().contains(id)) {
-    fail("ChurnDriver: lost track of a live session");
-  }
-  const ThreeStageNetwork::RecordView session = network.connections().at(id);
-  const auto outputs = session.outputs();
-  const std::size_t N = network.port_count();
-  const std::size_t k = network.lane_count();
-
-  // One wavelength per output port: only ports the session does not already
-  // deliver to can take the new destination.
-  auto port_used = [&outputs](std::size_t port) {
-    return std::any_of(outputs.begin(), outputs.end(),
-                       [port](const WavelengthEndpoint& out) {
-                         return out.port == port;
-                       });
-  };
-
-  // Candidate destinations under the network model's lane discipline
-  // (mirrors random_admissible_request's per-model rules).
-  std::vector<WavelengthEndpoint> candidates;
-  switch (network.network_model()) {
-    case MulticastModel::kMSW:
-    case MulticastModel::kMSDW: {
-      // MSW fans out on the source lane; MSDW on the request's (single)
-      // destination lane. Both pin every destination to one lane.
-      const Wavelength lane_required = network.network_model() ==
-                                               MulticastModel::kMSW
-                                           ? session.input().lane
-                                           : outputs[0].lane;
-      for (std::size_t port = 0; port < N; ++port) {
-        if (!port_used(port) &&
-            (network.output_lanes_busy(port) >> lane_required & 1u) == 0) {
-          candidates.push_back({port, lane_required});
-        }
-      }
-      break;
-    }
-    case MulticastModel::kMAW: {
-      for (std::size_t port = 0; port < N; ++port) {
-        if (port_used(port)) continue;
-        if (const auto free_lane =
-                draw_free_lane(lane.rng, network.output_lanes_busy(port), k)) {
-          candidates.push_back({port, *free_lane});
-        }
-      }
-      break;
-    }
-  }
-  DriverMetrics::get().grow_candidates.record(candidates.size());
-  if (candidates.empty()) {
-    ++stats.grow_blocked;
-    metrics().counter("engine.grow_blocked").add();
-    return;
-  }
-
-  const WavelengthEndpoint destination =
-      candidates[lane.rng.next_below(candidates.size())];
-  const GrowResult result = engine_->grow_locked(lane.shard, id, destination);
-  switch (result.status) {
-    case GrowResult::Status::kGrown:
-      ++stats.grows;
-      break;
-    case GrowResult::Status::kBlocked:
-      ++stats.grow_blocked;
-      break;
-    case GrowResult::Status::kStaleSession:
-      fail("ChurnDriver: grow lost a live session");
-  }
-  // Break-before-make: the session carries a fresh id either way, and the
-  // old id is exactly the stale-probe material we want.
-  remember_stale(lane, id);
-  lane.active[victim] = result.connection;
 }
 
 ChurnStats ChurnDriver::merge(std::vector<std::unique_ptr<Lane>>& lanes) const {
   ChurnStats out;
   out.per_shard.reserve(lanes.size());
   for (const auto& lane : lanes) {  // ascending shard order, always
-    const ShardChurnStats& stats = lane->stats;
+    const ShardChurnStats& stats = lane->stream.tally;
     out.per_shard.push_back(stats);
     out.total.sim += stats.sim;
     out.total.grow_attempts += stats.grow_attempts;
@@ -216,7 +114,7 @@ ChurnStats ChurnDriver::merge(std::vector<std::unique_ptr<Lane>>& lanes) const {
     out.total.stale_probes += stats.stale_probes;
     out.total.stale_rejected += stats.stale_rejected;
     out.total.stale_accepted += stats.stale_accepted;
-    out.leftover_sessions += lane->active.size();
+    out.leftover_sessions += lane->stream.live.size();
   }
   return out;
 }

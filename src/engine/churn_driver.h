@@ -9,6 +9,10 @@
 //     vs grow, request shape, victim choice, stale-id probes -- and arrivals
 //     draw their source port only from the shard's owned_ports(). The stream
 //     is therefore a pure function of (seed, shard, ops executed so far).
+//     A tick is one churn_step (sim/churn_step.h), the same step
+//     run_dynamic_sim takes, made against the shard's connect_locked /
+//     disconnect_locked / grow_locked; its live-id pool follows the
+//     sessions a repack-enabled engine migrates to fresh ids.
 //
 //   * Work is cut into fixed-size batches scheduled round-robin across
 //     shards and handed out by one atomic cursor. A batch carries an op
@@ -33,8 +37,7 @@
 #include <vector>
 
 #include "engine/sharded_engine.h"
-#include "sim/blocking_sim.h"
-#include "sim/request.h"
+#include "sim/churn_step.h"
 #include "util/thread_pool.h"
 
 namespace wdm::engine {
@@ -74,18 +77,7 @@ struct ChurnConfig {
 
 /// One shard's outcome tally. Deterministic per (engine config, churn
 /// config, shard) -- independent of worker count and batch interleaving.
-struct ShardChurnStats {
-  SimStats sim;  // attempts/admitted/blocked/departures/steps/...
-  std::size_t grow_attempts = 0;
-  std::size_t grows = 0;         // sessions that gained a destination
-  std::size_t grow_blocked = 0;  // no candidate or middle-stage block
-  std::size_t stale_probes = 0;
-  std::size_t stale_rejected = 0;
-  /// Stale ids the network *accepted* -- any nonzero value is a bug.
-  std::size_t stale_accepted = 0;
-
-  friend bool operator==(const ShardChurnStats&, const ShardChurnStats&) = default;
-};
+using ShardChurnStats = ChurnTally;
 
 struct ChurnStats {
   /// Shard-ordered merge of per_shard (shard 0 first -- fixed order, so the
@@ -124,32 +116,19 @@ class ChurnDriver {
     Lane(ChurnDriver& owner, std::size_t shard_index, const ChurnConfig& config)
         : driver(&owner),
           shard(shard_index),
-          rng(Rng(config.seed).split(shard_index)) {}
+          stream{Rng(config.seed).split(shard_index)} {}
 
     ChurnDriver* const driver;
     const std::size_t shard;
-    Rng rng;
-    std::vector<ConnectionId> active;  // driver-owned live sessions
-    /// Ring of recently disposed ids for stale probes (kStaleRing entries).
-    std::vector<ConnectionId> stale;
-    std::size_t stale_cursor = 0;
-    ShardChurnStats stats;
+    ChurnStream stream;  // live ids are the driver-owned sessions
 
     /// First exception a batch hit (read by run() after every batch has
     /// run). Later batches on the lane see it and stop advancing the stream.
     std::exception_ptr task_error;
   };
 
-  static constexpr std::size_t kStaleRing = 32;
-
   std::vector<std::unique_ptr<Lane>> make_lanes();
   void tick(Lane& lane);
-  void grow_tick(Lane& lane, std::size_t victim);
-  void remember_stale(Lane& lane, ConnectionId id);
-  /// Invariant-violation exit: dump every shard's flight recorder to stderr
-  /// (the post-mortem window CI uploads as an artifact), then throw
-  /// std::logic_error(what).
-  [[noreturn]] void fail(const char* what) const;
   ChurnStats merge(std::vector<std::unique_ptr<Lane>>& lanes) const;
   /// Batch body: `ops` ticks of lane `lane` (a Lane*), run by whoever holds
   /// the lane's shard claim (an executor task trampoline). Exceptions land

@@ -141,15 +141,15 @@ void ShardedEngine::publish_health(Shard& shard) {
 obs::EngineHealthSnapshot ShardedEngine::health_snapshot(
     std::size_t shard) const {
   const Shard& owner = *shards_.at(shard);
-  // The read takes no lock. It copies into a heap buffer sized from the
-  // (immutable) geometry, which decoding then copies into the snapshot.
+  // The read takes no lock. It copies into one heap buffer sized from the
+  // (immutable) geometry, which becomes the snapshot's middle_busy.
   std::vector<std::uint64_t> buffer(owner.health.capacity());
   std::size_t retries = 0;
   owner.health.read(buffer.data(), buffer.size(), &retries);
   EngineMetrics& counters = EngineMetrics::get();
   counters.snapshot_reads.add();
   if (retries != 0) counters.snapshot_retries.add(retries);
-  return obs::EngineHealthSnapshot::decode(buffer.data(), buffer.size());
+  return obs::EngineHealthSnapshot::decode(std::move(buffer));
 }
 
 std::vector<obs::EngineHealthSnapshot> ShardedEngine::health_snapshots() const {

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace wdm::obs {
 
@@ -69,9 +70,8 @@ void EngineHealthSnapshot::encode(std::uint64_t* words) const {
   std::copy(middle_busy.begin(), middle_busy.end(), words + kHeaderWords);
 }
 
-EngineHealthSnapshot EngineHealthSnapshot::decode(const std::uint64_t* words,
-                                                  std::size_t count) {
-  if (count < kHeaderWords) {
+EngineHealthSnapshot EngineHealthSnapshot::decode(std::vector<std::uint64_t> words) {
+  if (words.size() < kHeaderWords) {
     throw std::invalid_argument(
         "EngineHealthSnapshot::decode: fewer than kHeaderWords words");
   }
@@ -93,12 +93,13 @@ EngineHealthSnapshot EngineHealthSnapshot::decode(const std::uint64_t* words,
   snapshot.nonblocking = words[14] != 0;
   snapshot.repack_moves = words[15];
   snapshot.repack_max_chain = words[16];
-  if (count < kHeaderWords + snapshot.middle_count) {
+  if (words.size() < kHeaderWords + snapshot.middle_count) {
     throw std::invalid_argument(
         "EngineHealthSnapshot::decode: busy-lane payload truncated");
   }
-  snapshot.middle_busy.assign(words + kHeaderWords,
-                              words + kHeaderWords + snapshot.middle_count);
+  words.erase(words.begin(), words.begin() + kHeaderWords);
+  words.resize(snapshot.middle_count);
+  snapshot.middle_busy = std::move(words);
   return snapshot;
 }
 

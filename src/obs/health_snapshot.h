@@ -118,9 +118,8 @@ struct EngineHealthSnapshot {
   }
   /// Serialize into `words` (size must be >= encoded_words(...)).
   void encode(std::uint64_t* words) const;
-  /// Decode `count` words produced by encode().
-  [[nodiscard]] static EngineHealthSnapshot decode(const std::uint64_t* words,
-                                                   std::size_t count);
+  /// Decode words produced by encode(); the buffer becomes middle_busy.
+  [[nodiscard]] static EngineHealthSnapshot decode(std::vector<std::uint64_t> words);
 };
 
 /// Single-writer seqlock cell over a fixed number of uint64 payload words.

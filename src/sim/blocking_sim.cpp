@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "repack/repack.h"
+#include "sim/churn_step.h"
 #include "util/metrics.h"
 #include "util/trace_span.h"
 
@@ -32,6 +33,29 @@ struct SimMetrics {
   static SimMetrics& get() {
     static SimMetrics instance;
     return instance;
+  }
+};
+
+/// A bare switch whose connects and disconnects are counted, timed and traced.
+struct SimTarget : SwitchChurnTarget {
+  SimMetrics& counters;
+
+  std::optional<ConnectionId> connect(const MulticastRequest& request) {
+    counters.arrivals.add();
+    counters.request_fanout.record(request.outputs.size());
+    ScopedTimer timer(counters.connect);
+    TraceSpan span("sim.connect");
+    span.arg("fanout", static_cast<std::int64_t>(request.outputs.size()));
+    const auto id = SwitchChurnTarget::connect(request);
+    span.arg("admitted", id ? 1 : 0);
+    (id ? counters.admitted : counters.blocked).add();
+    return id;
+  }
+  void disconnect(ConnectionId id) {
+    counters.departures.add();
+    ScopedTimer timer(counters.disconnect);
+    TraceSpan span("sim.disconnect");
+    SwitchChurnTarget::disconnect(id);
   }
 };
 
@@ -81,69 +105,12 @@ SimStats run_dynamic_sim(MultistageSwitch& sw, const SimConfig& config) {
   }
   SimMetrics& counters = SimMetrics::get();
   ScopedTimer sim_timer(counters.dynamic_sim);
-  Rng rng(config.seed);
-  SimStats stats;
-  std::vector<ConnectionId> active;
-
+  SimTarget target{{sw}, counters};
+  ChurnStream stream{Rng(config.seed)};
+  const ChurnMix mix{.arrival_fraction = config.arrival_fraction, .fanout = config.fanout};
   for (std::size_t step = 0; step < config.steps; ++step) {
-    ++stats.steps;
-    stats.active_connection_steps += active.size();
-    const bool arrive = active.empty() || rng.next_bool(config.arrival_fraction);
-    if (arrive) {
-      const auto request =
-          random_admissible_request(rng, sw.network(), config.fanout);
-      if (!request) continue;  // endpoints exhausted at this load
-      ++stats.attempts;
-      counters.arrivals.add();
-      counters.request_fanout.record(request->outputs.size());
-      std::optional<ConnectionId> id;
-      {
-        ScopedTimer connect_timer(counters.connect);
-        TraceSpan span("sim.connect");
-        span.arg("fanout", static_cast<std::int64_t>(request->outputs.size()));
-        id = config.repack ? sw.connect_with_repack(*request)
-                           : sw.try_connect(*request);
-        span.arg("admitted", id ? 1 : 0);
-      }
-      if (id) {
-        ++stats.admitted;
-        counters.admitted.add();
-        stats.conversions += conversions_in_route(sw.network().connections().at(*id));
-        if (config.repack) {
-          // Migrated sessions carry fresh ids; patch the departure pool so
-          // later victims name live sessions.
-          const auto moved = sw.repack_engine()->last_moved();
-          if (!moved.empty()) {
-            ++stats.repacked_admits;
-            stats.repack_moves += moved.size();
-            for (const auto& [old_id, new_id] : moved) {
-              for (ConnectionId& live : active) {
-                if (live == old_id) {
-                  live = new_id;
-                  break;
-                }
-              }
-            }
-          }
-        }
-        active.push_back(*id);
-        stats.max_concurrent = std::max(stats.max_concurrent, active.size());
-      } else {
-        ++stats.blocked;
-        counters.blocked.add();
-      }
-    } else {
-      const std::size_t victim = rng.next_below(active.size());
-      {
-        ScopedTimer disconnect_timer(counters.disconnect);
-        TraceSpan span("sim.disconnect");
-        sw.disconnect(active[victim]);
-      }
-      active[victim] = active.back();
-      active.pop_back();
-      ++stats.departures;
-      counters.departures.add();
-    }
+    // Endpoints exhausted at this load: the step offered nothing.
+    if (churn_step(target, stream, mix).op == ChurnOutcome::Op::kNoRequest) continue;
     if (config.self_check_every != 0 && step % config.self_check_every == 0) {
       counters.self_checks.add();
       ScopedTimer check_timer(counters.self_check);
@@ -151,7 +118,7 @@ SimStats run_dynamic_sim(MultistageSwitch& sw, const SimConfig& config) {
       sw.network().self_check();
     }
   }
-  return stats;
+  return stream.tally.sim;
 }
 
 std::string AttackResult::to_string() const {

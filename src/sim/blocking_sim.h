@@ -6,7 +6,9 @@
 //   * run_dynamic_sim: random admissible arrivals interleaved with random
 //     departures at a configurable load; any observed block at m >= the
 //     theorem bound would falsify the theorem (none should occur), while
-//     for m well below the bound blocks should appear.
+//     for m well below the bound blocks should appear. Each step is one
+//     churn_step (sim/churn_step.h), the step the engine's ChurnDriver,
+//     trace capture and the witness search take too.
 //   * saturation_attack: a structured adversary shaped like the theorems'
 //     worst case -- fill the challenge input module's other wavelengths and
 //     spray middle-stage occupancy from other modules, then issue a
@@ -30,11 +32,11 @@ struct SimConfig {
   std::uint64_t seed = 0x5EED;
   /// Run network.self_check() every this many steps (0 = never).
   std::size_t self_check_every = 0;
-  /// Route arrivals through MultistageSwitch::connect_with_repack so blocked
-  /// requests may be admitted by migrating standing sessions (rearrangeable
-  /// mode, DESIGN.md §3.12). The sim attaches a default-policy repack engine
-  /// unless the caller already enabled one. With `repack` false the sim is
-  /// untouched -- identical decisions, counters, and SimStats.
+  /// Let blocked requests be admitted by migrating standing sessions
+  /// (rearrangeable mode, DESIGN.md §3.12): the sim attaches a default-policy
+  /// repack engine unless the caller already enabled one. Arrivals go through
+  /// MultistageSwitch::connect_with_repack, which without a repack engine is
+  /// try_connect -- identical decisions, counters, and SimStats.
   bool repack = false;
 };
 
@@ -49,8 +51,8 @@ struct SimStats {
   std::size_t active_connection_steps = 0;
   /// Sum of conversions_in_route over admitted connections.
   std::size_t conversions = 0;
-  /// Admissions that needed at least one migration (config.repack only;
-  /// always zero otherwise, preserving SimStats equality for classic runs).
+  /// Admissions that needed at least one migration (zero unless a repack
+  /// engine is attached, preserving SimStats equality for classic runs).
   std::size_t repacked_admits = 0;
   /// Standing sessions migrated across all repacked admissions.
   std::size_t repack_moves = 0;

@@ -52,19 +52,11 @@ std::optional<Wavelength> draw_free_lane(Rng& rng, std::uint64_t busy,
   return static_cast<Wavelength>(std::countr_zero(free));
 }
 
-namespace {
-
-/// Shared generator body; `source_ports` restricts the input-wavelength draw
-/// when non-null (the engine's shard-ownership case).
-std::optional<MulticastRequest> admissible_request_impl(
-    Rng& rng, const ThreeStageNetwork& network, FanoutRange fanout,
+std::optional<WavelengthEndpoint> draw_free_input(
+    Rng& rng, const ThreeStageNetwork& network,
     const std::vector<std::size_t>* source_ports) {
   const std::size_t N = network.port_count();
   const std::size_t k = network.lane_count();
-  const MulticastModel model = network.network_model();
-  const std::size_t upper = clamp_max_fanout(fanout, N);
-
-  // Free input wavelengths (on the allowed source ports).
   std::vector<WavelengthEndpoint> free_inputs;
   auto collect_port = [&](std::size_t port) {
     const std::uint64_t busy = network.input_lanes_busy(port);
@@ -80,54 +72,36 @@ std::optional<MulticastRequest> admissible_request_impl(
     }
   }
   if (free_inputs.empty()) return std::nullopt;
+  return free_inputs[rng.next_below(free_inputs.size())];
+}
+
+std::optional<MulticastRequest> random_admissible_request(
+    Rng& rng, const ThreeStageNetwork& network, FanoutRange fanout,
+    const std::vector<std::size_t>* source_ports) {
+  const std::size_t N = network.port_count();
+  const MulticastModel model = network.network_model();
+  const std::size_t upper = clamp_max_fanout(fanout, N);
+
+  const auto input = draw_free_input(rng, network, source_ports);
+  if (!input) return std::nullopt;
   MulticastRequest request;
-  request.input = free_inputs[rng.next_below(free_inputs.size())];
+  request.input = *input;
 
-  // Candidate destinations consistent with the model's lane discipline.
-  auto free_output = [&](std::size_t port, Wavelength lane) {
-    return (network.output_lanes_busy(port) >> lane & 1u) == 0;
-  };
-
-  std::vector<WavelengthEndpoint> candidates;  // at most one per port
-  switch (model) {
-    case MulticastModel::kMSW: {
-      for (std::size_t port = 0; port < N; ++port) {
-        if (free_output(port, request.input.lane)) {
-          candidates.push_back({port, request.input.lane});
-        }
-      }
-      break;
+  // The lane the model pins every destination to: the source's under MSW;
+  // under MSDW one drawn uniformly among the lanes free at some port, i.e.
+  // clear in the AND of every port's busy word. MAW draws a lane per port.
+  std::optional<Wavelength> lane;
+  if (model == MulticastModel::kMSW) lane = request.input.lane;
+  if (model == MulticastModel::kMSDW) {
+    std::uint64_t busy_everywhere = ~0ull;
+    for (std::size_t port = 0; port < N; ++port) {
+      busy_everywhere &= network.output_lanes_busy(port);
     }
-    case MulticastModel::kMSDW: {
-      // Pick the destination lane first (uniform over lanes that have at
-      // least one free port), then use all ports free on it. A lane is
-      // usable iff its bit is clear in some port's word, i.e. clear in the
-      // AND of all of them.
-      std::uint64_t busy_everywhere = ~0ull;
-      for (std::size_t port = 0; port < N; ++port) {
-        busy_everywhere &= network.output_lanes_busy(port);
-      }
-      std::vector<Wavelength> usable_lanes;
-      for (Wavelength lane = 0; lane < k; ++lane) {
-        if ((busy_everywhere >> lane & 1u) == 0) usable_lanes.push_back(lane);
-      }
-      if (usable_lanes.empty()) return std::nullopt;
-      const Wavelength lane = usable_lanes[rng.next_below(usable_lanes.size())];
-      for (std::size_t port = 0; port < N; ++port) {
-        if (free_output(port, lane)) candidates.push_back({port, lane});
-      }
-      break;
-    }
-    case MulticastModel::kMAW: {
-      for (std::size_t port = 0; port < N; ++port) {
-        if (const auto lane = draw_free_lane(rng, network.output_lanes_busy(port), k)) {
-          candidates.push_back({port, *lane});
-        }
-      }
-      break;
-    }
+    lane = draw_free_lane(rng, busy_everywhere, network.lane_count());
+    if (!lane) return std::nullopt;
   }
-  if (candidates.empty()) return std::nullopt;
+  const std::vector<WavelengthEndpoint> candidates =
+      free_destinations(rng, network, lane, [](std::size_t) { return false; });
 
   const std::size_t available = candidates.size();
   if (available < fanout.min) return std::nullopt;
@@ -138,19 +112,6 @@ std::optional<MulticastRequest> admissible_request_impl(
       rng.sample_without_replacement(available, size);
   for (const std::size_t pick : picks) request.outputs.push_back(candidates[pick]);
   return request;
-}
-
-}  // namespace
-
-std::optional<MulticastRequest> random_admissible_request(
-    Rng& rng, const ThreeStageNetwork& network, FanoutRange fanout) {
-  return admissible_request_impl(rng, network, fanout, nullptr);
-}
-
-std::optional<MulticastRequest> random_admissible_request(
-    Rng& rng, const ThreeStageNetwork& network, FanoutRange fanout,
-    const std::vector<std::size_t>& source_ports) {
-  return admissible_request_impl(rng, network, fanout, &source_ports);
 }
 
 Fig10Scenario fig10_scenario() {

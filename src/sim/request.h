@@ -32,16 +32,18 @@ struct FanoutRange {
 /// Random request that is admissible against the network's current endpoint
 /// state (input wavelength free, all chosen output wavelengths free).
 /// nullopt if no free input wavelength or no compatible output exists.
-[[nodiscard]] std::optional<MulticastRequest> random_admissible_request(
-    Rng& rng, const ThreeStageNetwork& network, FanoutRange fanout = {});
-
-/// As above, but the input wavelength is drawn only from `source_ports`
+/// With `source_ports`, the input wavelength is drawn only from those ports
 /// (out-of-range ports are skipped); destinations stay unrestricted. This is
 /// the shard-ownership restriction of the concurrent session engine
 /// (src/engine): each shard originates sessions only from the ports it owns.
 [[nodiscard]] std::optional<MulticastRequest> random_admissible_request(
+    Rng& rng, const ThreeStageNetwork& network, FanoutRange fanout = {},
+    const std::vector<std::size_t>* source_ports = nullptr);
+[[nodiscard]] inline std::optional<MulticastRequest> random_admissible_request(
     Rng& rng, const ThreeStageNetwork& network, FanoutRange fanout,
-    const std::vector<std::size_t>& source_ports);
+    const std::vector<std::size_t>& source_ports) {
+  return random_admissible_request(rng, network, fanout, &source_ports);
+}
 
 /// Uniform draw among the free lanes of one port, given its busy word (bit =
 /// lane, 1 = busy; see ThreeStageNetwork::output_lanes_busy): returns the
@@ -49,6 +51,33 @@ struct FanoutRange {
 /// Draws nothing and returns nullopt when all k lanes are busy.
 [[nodiscard]] std::optional<Wavelength> draw_free_lane(Rng& rng, std::uint64_t busy,
                                                        std::size_t k);
+
+/// Uniform draw among the free input wavelengths of the network, or of
+/// `source_ports` when non-null (out-of-range ports are skipped); nullopt
+/// without a draw when none is free.
+[[nodiscard]] std::optional<WavelengthEndpoint> draw_free_input(
+    Rng& rng, const ThreeStageNetwork& network,
+    const std::vector<std::size_t>* source_ports = nullptr);
+
+/// The free output wavelengths a request or a grow may take, one per port at
+/// most, in port order: each port's `lane` when set (MSW, MSDW), else one
+/// drawn by draw_free_lane (MAW). Ports where skip(port) holds draw nothing.
+template <typename SkipPort>
+[[nodiscard]] std::vector<WavelengthEndpoint> free_destinations(
+    Rng& rng, const ThreeStageNetwork& network, std::optional<Wavelength> lane,
+    SkipPort skip) {
+  std::vector<WavelengthEndpoint> destinations;
+  for (std::size_t port = 0; port < network.port_count(); ++port) {
+    if (skip(port)) continue;
+    const std::uint64_t busy = network.output_lanes_busy(port);
+    if (lane) {
+      if ((busy >> *lane & 1u) == 0) destinations.push_back({port, *lane});
+    } else if (const auto free = draw_free_lane(rng, busy, network.lane_count())) {
+      destinations.push_back({port, *free});
+    }
+  }
+  return destinations;
+}
 
 /// A connection pre-installed over an explicit route (bypassing the router)
 /// so scenarios can pin down the exact network state.

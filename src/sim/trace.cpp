@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "sim/churn_step.h"
+
 namespace wdm {
 
 void TraceRecorder::on_connect(std::uint64_t key, const MulticastRequest& request) {
@@ -140,23 +142,19 @@ std::vector<TraceEvent> record_random_workload(const ClosParams& params,
                                                MulticastModel network_model,
                                                const SimConfig& config) {
   MultistageSwitch sw(params, construction, network_model);
+  SwitchChurnTarget target{sw};
   TraceRecorder recorder;
-  Rng rng(config.seed);
-  std::vector<std::pair<std::uint64_t, ConnectionId>> live;
+  ChurnStream stream{Rng(config.seed)};
+  const ChurnMix mix{.arrival_fraction = config.arrival_fraction, .fanout = config.fanout};
+  std::map<ConnectionId, std::uint64_t> key_of;  // live id -> trace key
   std::uint64_t next_key = 1;
   for (std::size_t step = 0; step < config.steps; ++step) {
-    if (live.empty() || rng.next_bool(config.arrival_fraction)) {
-      const auto request = random_admissible_request(rng, sw.network(), config.fanout);
-      if (!request) continue;
-      const std::uint64_t key = next_key++;
-      recorder.on_connect(key, *request);
-      if (const auto id = sw.try_connect(*request)) live.emplace_back(key, *id);
-    } else {
-      const std::size_t victim = rng.next_below(live.size());
-      recorder.on_disconnect(live[victim].first);
-      sw.disconnect(live[victim].second);
-      live[victim] = live.back();
-      live.pop_back();
+    const ChurnOutcome outcome = churn_step(target, stream, mix);
+    if (outcome.request) {  // admitted or blocked: recorded either way
+      if (outcome.op == ChurnOutcome::Op::kAdmitted) key_of[outcome.id] = next_key;
+      recorder.on_connect(next_key++, *outcome.request);
+    } else if (outcome.op == ChurnOutcome::Op::kDeparted) {
+      recorder.on_disconnect(key_of.extract(outcome.id).mapped());
     }
   }
   return recorder.events();

@@ -61,16 +61,10 @@ std::optional<MulticastRequest> skewed_admissible_request(
   const std::size_t N = network.port_count();
   const std::size_t k = network.lane_count();
   // Free input wavelength, uniform (sources are not skewed).
-  std::vector<WavelengthEndpoint> free_inputs;
-  for (std::size_t port = 0; port < N; ++port) {
-    const std::uint64_t busy = network.input_lanes_busy(port);
-    for (Wavelength lane = 0; lane < k; ++lane) {
-      if ((busy >> lane & 1u) == 0) free_inputs.push_back({port, lane});
-    }
-  }
-  if (free_inputs.empty()) return std::nullopt;
+  const auto input = draw_free_input(rng, network);
+  if (!input) return std::nullopt;
   MulticastRequest request;
-  request.input = free_inputs[rng.next_below(free_inputs.size())];
+  request.input = *input;
 
   const Wavelength lane = network.network_model() == MulticastModel::kMSW
                               ? request.input.lane

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "sim/churn_step.h"
+
 namespace wdm {
 
 std::string BlockingWitness::to_string() const {
@@ -51,26 +53,16 @@ std::optional<BlockingWitness> find_blocking_witness(
 
     // Phase B: random churn with routability probes.
     MultistageSwitch sw(params, construction, network_model, policy);
-    std::vector<ConnectionId> live;
+    SwitchChurnTarget target{sw};
+    ChurnStream stream{rng};  // the probes draw from the same stream
     for (std::size_t step = 0; step < config.churn_steps; ++step) {
-      if (live.empty() || rng.next_bool(0.75)) {
-        const auto request = random_admissible_request(rng, sw.network(), {});
-        if (request) {
-          if (const auto id = sw.try_connect(*request)) {
-            live.push_back(*id);
-          } else {
-            return capture_witness(sw.network(), *request);
-          }
-        }
-      } else {
-        const std::size_t victim = rng.next_below(live.size());
-        sw.disconnect(live[victim]);
-        live[victim] = live.back();
-        live.pop_back();
+      const ChurnOutcome outcome = churn_step(target, stream, {.arrival_fraction = 0.75});
+      if (outcome.op == ChurnOutcome::Op::kBlocked) {
+        return capture_witness(sw.network(), *outcome.request);
       }
       // Probe without installing: would some fresh request block right now?
       for (std::size_t probe = 0; probe < config.probes_per_step; ++probe) {
-        const auto request = random_admissible_request(rng, sw.network(), {});
+        const auto request = random_admissible_request(stream.rng, sw.network(), {});
         if (request && !sw.router().find_route(*request)) {
           return capture_witness(sw.network(), *request);
         }

@@ -325,5 +325,25 @@ TEST(HotPathAllocations, SteadyStateEngineGrowIsAllocationFree) {
   }
 }
 
+TEST(HotPathAllocations, HealthSnapshotReadAllocatesOnlyItsBuffer) {
+  // ShardedEngine::health_snapshot copies the seqlock payload into one
+  // buffer sized from the geometry, and decoding hands that buffer over as
+  // the snapshot's middle_busy: one allocation per read.
+  set_metrics_enabled(true);
+  engine::EngineConfig config;
+  config.params = nonblocking_params(4, 4, 2, Construction::kMswDominant);
+  config.shards = 1;
+  engine::ShardedEngine engine(config);
+  ASSERT_TRUE(engine.connect({{0, 0}, {{1, 0}, {6, 0}}}).has_value());
+  (void)engine.health_snapshot(0);  // registers nothing new from here on
+
+  const std::size_t before = g_allocations.load();
+  const obs::EngineHealthSnapshot snapshot = engine.health_snapshot(0);
+  EXPECT_EQ(g_allocations.load() - before, 1u);
+  EXPECT_EQ(snapshot.middle_busy.size(), config.params.m);
+  EXPECT_EQ(snapshot.sessions, 1u);
+  EXPECT_TRUE(snapshot.consistent());
+}
+
 }  // namespace
 }  // namespace wdm

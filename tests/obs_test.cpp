@@ -79,7 +79,7 @@ TEST(EngineHealthSnapshot, EncodeDecodeRoundTrip) {
       EngineHealthSnapshot::encoded_words(3, 4), 0);
   original.encode(words.data());
   const EngineHealthSnapshot decoded =
-      EngineHealthSnapshot::decode(words.data(), words.size());
+      EngineHealthSnapshot::decode(words);
 
   EXPECT_EQ(decoded.version, original.version);
   EXPECT_EQ(decoded.shard, original.shard);
@@ -115,12 +115,11 @@ TEST(EngineHealthSnapshot, DecodeRejectsTruncatedBuffers) {
       EngineHealthSnapshot::encoded_words(3, 4), 0);
   original.encode(words.data());
   // Shorter than the header, and shorter than header + busy-lane payload.
-  EXPECT_THROW((void)EngineHealthSnapshot::decode(words.data(), 3),
+  EXPECT_THROW((void)EngineHealthSnapshot::decode({words.begin(), words.begin() + 3}),
                std::invalid_argument);
-  EXPECT_THROW(
-      (void)EngineHealthSnapshot::decode(
-          words.data(), EngineHealthSnapshot::kHeaderWords + 2),
-      std::invalid_argument);
+  EXPECT_THROW((void)EngineHealthSnapshot::decode(
+                   {words.begin(), words.begin() + EngineHealthSnapshot::kHeaderWords + 2}),
+               std::invalid_argument);
 }
 
 TEST(SeqlockSnapshotSlot, PublishReadRoundTrip) {
