@@ -62,9 +62,7 @@ std::vector<DesignOption> enumerate_designs(std::size_t N, std::size_t k,
     option.is_multistage = true;
     option.construction = construction;
     option.clos = nonblocking_params(n, r, k, construction);
-    const NonblockingBound bound = construction == Construction::kMswDominant
-                                       ? theorem1_min_m(n, r)
-                                       : theorem2_min_m(n, r, k);
+    const NonblockingBound bound = theorem_min_m(n, r, k, construction);
     option.routing_spread = bound.x;
     const MultistageCost cost = multistage_cost(option.clos, construction, model);
     option.crosspoints = cost.crosspoints;

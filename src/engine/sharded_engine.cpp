@@ -74,10 +74,8 @@ ShardedEngine::Shard::Shard(std::uint32_t index, const EngineConfig& config)
 
 ShardedEngine::ShardedEngine(const EngineConfig& config)
     : config_(config),
-      bound_(config.construction == Construction::kMswDominant
-                 ? theorem1_min_m(config.params.n, config.params.r)
-                 : theorem2_min_m(config.params.n, config.params.r,
-                                  config.params.k)) {
+      bound_(theorem_min_m(config.params.n, config.params.r, config.params.k,
+                           config.construction)) {
   if (config_.shards == 0) {
     throw std::invalid_argument("ShardedEngine: need at least one shard");
   }

@@ -1,7 +1,6 @@
 #include "faults/availability.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <set>
@@ -9,6 +8,7 @@
 #include <stdexcept>
 
 #include "util/metrics.h"
+#include "util/rng.h"
 #include "util/trace_span.h"
 
 namespace wdm {
@@ -25,12 +25,6 @@ std::string AvailabilityStats::to_string() const {
 }
 
 namespace {
-
-double exponential(Rng& rng, double mean) {
-  double u = rng.next_double();
-  if (u <= 0.0) u = 1e-12;
-  return -mean * std::log(u);
-}
 
 struct AvailabilityMetrics {
   Counter& failures = metrics().counter("faults.failures_injected");

@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "multistage/module.h"
+
 namespace wdm {
 
 const char* fault_component_kind_name(FaultComponentKind kind) {
@@ -40,50 +42,55 @@ std::string FaultComponent::to_string() const {
 FaultModel::FaultModel(const ClosParams& params, std::size_t converter_slots)
     : params_(params) {
   params_.validate();
-  middle_failed_.assign(params_.m, false);
-  link12_failed_.assign(params_.r * params_.m, false);
-  link23_failed_.assign(params_.m * params_.r, false);
-  link12_lane_failed_.assign(params_.r * params_.m * params_.k, false);
-  link23_lane_failed_.assign(params_.m * params_.r * params_.k, false);
-  converter_slot_failed_.assign(converter_slots, false);
+  if (params_.k > SwitchModule::kMaxLanes) {
+    throw std::invalid_argument("FaultModel: k = " + std::to_string(params_.k) +
+                                " lanes exceed one link word (max " +
+                                std::to_string(SwitchModule::kMaxLanes) + ")");
+  }
+  lane_mask_ = params_.k == 64 ? ~0ull : (1ull << params_.k) - 1;
+  middle_failed_.assign(params_.m, 0);
+  link12_failed_.assign(params_.r * params_.m, 0);
+  link23_failed_.assign(params_.m * params_.r, 0);
+  converter_slot_failed_.assign(converter_slots, 0);
+  link12_lanes_failed_.assign(params_.r * params_.m, 0);
+  link23_lanes_failed_.assign(params_.m * params_.r, 0);
 }
 
-std::vector<bool>::reference FaultModel::slot(const FaultComponent& component) {
+std::pair<std::uint64_t*, std::uint64_t> FaultModel::locate(
+    const FaultComponent& component) {
   const std::size_t m = params_.m;
   const std::size_t r = params_.r;
   const std::size_t k = params_.k;
+  const std::size_t a = component.a;
+  const std::size_t b = component.b;
   switch (component.kind) {
     case FaultComponentKind::kMiddleModule:
-      return middle_failed_.at(component.a);
+      if (a >= m) break;
+      return {&middle_failed_[a], 1};
     case FaultComponentKind::kLink12:
-      if (component.a >= r || component.b >= m) break;
-      return link12_failed_.at(component.a * m + component.b);
+      if (a >= r || b >= m) break;
+      return {&link12_failed_[a * m + b], 1};
     case FaultComponentKind::kLink23:
-      if (component.a >= m || component.b >= r) break;
-      return link23_failed_.at(component.a * r + component.b);
+      if (a >= m || b >= r) break;
+      return {&link23_failed_[a * r + b], 1};
     case FaultComponentKind::kLink12Lane:
-      if (component.a >= r || component.b >= m || component.lane >= k) break;
-      return link12_lane_failed_.at((component.a * m + component.b) * k +
-                                    component.lane);
+      if (a >= r || b >= m || component.lane >= k) break;
+      return {&link12_lanes_failed_[a * m + b], 1ull << component.lane};
     case FaultComponentKind::kLink23Lane:
-      if (component.a >= m || component.b >= r || component.lane >= k) break;
-      return link23_lane_failed_.at((component.a * r + component.b) * k +
-                                    component.lane);
+      if (a >= m || b >= r || component.lane >= k) break;
+      return {&link23_lanes_failed_[a * r + b], 1ull << component.lane};
     case FaultComponentKind::kConverterSlot:
-      return converter_slot_failed_.at(component.a);
+      if (a >= converter_slot_failed_.size()) break;
+      return {&converter_slot_failed_[a], 1};
   }
   throw std::out_of_range("FaultModel: component out of range: " +
                           component.to_string());
 }
 
-bool FaultModel::slot_value(const FaultComponent& component) const {
-  return const_cast<FaultModel*>(this)->slot(component);
-}
-
 void FaultModel::fail(const FaultComponent& component) {
-  auto bit = slot(component);
-  if (bit) return;  // already failed
-  bit = true;
+  const auto [word, bit] = locate(component);
+  if ((*word & bit) != 0) return;  // already failed
+  *word |= bit;
   ++active_faults_;
   if (component.kind == FaultComponentKind::kMiddleModule) ++failed_middles_;
   if (component.kind == FaultComponentKind::kConverterSlot) {
@@ -92,9 +99,9 @@ void FaultModel::fail(const FaultComponent& component) {
 }
 
 void FaultModel::repair(const FaultComponent& component) {
-  auto bit = slot(component);
-  if (!bit) return;  // already healthy
-  bit = false;
+  const auto [word, bit] = locate(component);
+  if ((*word & bit) == 0) return;  // already healthy
+  *word &= ~bit;
   --active_faults_;
   if (component.kind == FaultComponentKind::kMiddleModule) --failed_middles_;
   if (component.kind == FaultComponentKind::kConverterSlot) {
@@ -103,36 +110,21 @@ void FaultModel::repair(const FaultComponent& component) {
 }
 
 bool FaultModel::failed(const FaultComponent& component) const {
-  return slot_value(component);
+  const auto [word, bit] = const_cast<FaultModel*>(this)->locate(component);
+  return (*word & bit) != 0;
 }
 
 bool FaultModel::middle_failed(std::size_t j) const {
-  return middle_failed_.at(j);
+  return middle_failed_.at(j) != 0;
 }
 
 std::vector<std::size_t> FaultModel::failed_middles() const {
   std::vector<std::size_t> failed;
   failed.reserve(failed_middles_);
   for (std::size_t j = 0; j < middle_failed_.size(); ++j) {
-    if (middle_failed_[j]) failed.push_back(j);
+    if (middle_failed_[j] != 0) failed.push_back(j);
   }
   return failed;
-}
-
-bool FaultModel::link12_usable(std::size_t i, std::size_t j,
-                               Wavelength lane) const {
-  const std::size_t m = params_.m;
-  const std::size_t k = params_.k;
-  return !middle_failed_[j] && !link12_failed_[i * m + j] &&
-         !link12_lane_failed_[(i * m + j) * k + lane];
-}
-
-bool FaultModel::link23_usable(std::size_t j, std::size_t p,
-                               Wavelength lane) const {
-  const std::size_t r = params_.r;
-  const std::size_t k = params_.k;
-  return !middle_failed_[j] && !link23_failed_[j * r + p] &&
-         !link23_lane_failed_[(j * r + p) * k + lane];
 }
 
 std::string FaultModel::to_string() const {

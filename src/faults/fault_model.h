@@ -13,18 +13,23 @@
 //   * converter-pool slots      -- slots of a shared converter bank
 //                                  (ConverterPoolSwitch integration).
 //
-// The model is pure state: fail()/repair() toggle components, the usable()
-// queries combine them (a lane is usable iff its lane, its link, and -- for
-// stage-adjacent queries -- the middle module are all healthy). Attach a
-// FaultModel to a ThreeStageNetwork and the Router treats failed resources
-// as occupied; detached (or attached but empty), routing behavior and cost
-// are bit-identical to a fault-free build -- the any() fast path guards
-// every hot-path check.
+// The model is pure state: fail()/repair() toggle components, and the
+// usable-lane queries combine them. A link's failed lanes are one k-bit
+// word, like a module port's occupancy word, so link12_usable_lanes /
+// link23_usable_lanes answer "which lanes of this link can carry a signal"
+// with one word: the healthy lanes, or 0 when the link or its middle module
+// is down. Routing and the repack planner AND it with the link's free lanes;
+// link12_usable / link23_usable read one bit of it. Attach a FaultModel to a
+// ThreeStageNetwork and the Router treats failed resources as occupied;
+// detached (or attached but empty), routing behavior and cost are
+// bit-identical to a fault-free build -- the any() fast path guards every
+// hot-path check.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "multistage/clos_params.h"
@@ -58,6 +63,8 @@ class FaultModel {
  public:
   /// Component space of a three-stage geometry, plus `converter_slots`
   /// failable slots of a shared converter bank (0 = no bank modeled).
+  /// Throws std::invalid_argument when k exceeds 64: a link's lanes are one
+  /// word.
   explicit FaultModel(const ClosParams& params, std::size_t converter_slots = 0);
 
   [[nodiscard]] const ClosParams& params() const { return params_; }
@@ -90,27 +97,49 @@ class FaultModel {
   [[nodiscard]] std::vector<std::size_t> failed_middles() const;
 
   // -- usability queries (what routing consumes) ----------------------------
-  /// Can lane `lane` of the input-module-i -> middle-module-j link carry a
-  /// signal? False if the middle module, the whole link, or the lane failed.
-  [[nodiscard]] bool link12_usable(std::size_t i, std::size_t j,
-                                   Wavelength lane) const;
+  /// Lanes of the input-module-i -> middle-module-j link that can carry a
+  /// signal (bit = lane): 0 if the middle module or the whole link failed,
+  /// else the k lanes minus the failed ones.
+  [[nodiscard]] std::uint64_t link12_usable_lanes(std::size_t i, std::size_t j) const {
+    const std::size_t link = i * params_.m + j;
+    return (middle_failed_[j] | link12_failed_[link]) != 0
+               ? 0
+               : lane_mask_ & ~link12_lanes_failed_[link];
+  }
   /// Same for the middle-module-j -> output-module-p link.
-  [[nodiscard]] bool link23_usable(std::size_t j, std::size_t p,
-                                   Wavelength lane) const;
+  [[nodiscard]] std::uint64_t link23_usable_lanes(std::size_t j, std::size_t p) const {
+    const std::size_t link = j * params_.r + p;
+    return (middle_failed_[j] | link23_failed_[link]) != 0
+               ? 0
+               : lane_mask_ & ~link23_lanes_failed_[link];
+  }
+  /// One lane of link12_usable_lanes / link23_usable_lanes.
+  [[nodiscard]] bool link12_usable(std::size_t i, std::size_t j, Wavelength lane) const {
+    return (link12_usable_lanes(i, j) >> lane & 1) != 0;
+  }
+  [[nodiscard]] bool link23_usable(std::size_t j, std::size_t p, Wavelength lane) const {
+    return (link23_usable_lanes(j, p) >> lane & 1) != 0;
+  }
 
   [[nodiscard]] std::string to_string() const;
 
  private:
-  [[nodiscard]] std::vector<bool>::reference slot(const FaultComponent& component);
-  [[nodiscard]] bool slot_value(const FaultComponent& component) const;
+  /// The word holding `component`'s failed bit, and that bit: bit 0 of a
+  /// whole component's word, bit `lane` of a link's lane word. Throws
+  /// std::out_of_range on bad indices.
+  [[nodiscard]] std::pair<std::uint64_t*, std::uint64_t> locate(
+      const FaultComponent& component);
 
   ClosParams params_;
-  std::vector<bool> middle_failed_;          // [m]
-  std::vector<bool> link12_failed_;          // [r*m], index i*m + j
-  std::vector<bool> link23_failed_;          // [m*r], index j*r + p
-  std::vector<bool> link12_lane_failed_;     // [r*m*k], index (i*m + j)*k + lane
-  std::vector<bool> link23_lane_failed_;     // [m*r*k], index (j*r + p)*k + lane
-  std::vector<bool> converter_slot_failed_;  // [converter_slots]
+  std::uint64_t lane_mask_ = 0;  // low k bits
+  // One word per component, nonzero = failed.
+  std::vector<std::uint64_t> middle_failed_;          // [m]
+  std::vector<std::uint64_t> link12_failed_;          // [r*m], index i*m + j
+  std::vector<std::uint64_t> link23_failed_;          // [m*r], index j*r + p
+  std::vector<std::uint64_t> converter_slot_failed_;  // [converter_slots]
+  // One word per link, bit = failed lane; indexed like link12/23_failed_.
+  std::vector<std::uint64_t> link12_lanes_failed_;
+  std::vector<std::uint64_t> link23_lanes_failed_;
   std::size_t active_faults_ = 0;
   std::size_t failed_middles_ = 0;
   std::size_t failed_converter_slot_count_ = 0;

@@ -1,7 +1,6 @@
 #include "faults/fault_process.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,12 +15,6 @@ std::string FaultEvent::to_string() const {
 }
 
 namespace {
-
-double exponential(Rng& rng, double mean) {
-  double u = rng.next_double();
-  if (u <= 0.0) u = 1e-12;
-  return -mean * std::log(u);
-}
 
 /// One component's alternating up/down renewal process over [0, duration).
 void emit_component(std::vector<FaultEvent>& events, const FaultComponent& component,

@@ -23,7 +23,7 @@ bool route_uses_faults(const ThreeStageNetwork& network,
   bool uses = false;
   connection.walk(
       [&](std::size_t j, Wavelength lane, const auto& legs) {
-        uses = uses || faults.middle_failed(j) || !faults.link12_usable(in_module, j, lane);
+        uses = uses || !faults.link12_usable(in_module, j, lane);
         for (const ModulePortLane leg : legs) {
           uses = uses || !faults.link23_usable(j, leg.port, leg.lane);
         }
@@ -115,9 +115,7 @@ DegradedCapacity degraded_capacity(const ClosParams& params,
   result.failed_middles = failed_middles;
   result.effective_m =
       failed_middles >= params.m ? 0 : params.m - failed_middles;
-  result.bound = construction == Construction::kMswDominant
-                     ? theorem1_min_m(params.n, params.r)
-                     : theorem2_min_m(params.n, params.r, params.k);
+  result.bound = theorem_min_m(params.n, params.r, params.k, construction);
   result.margin = static_cast<std::ptrdiff_t>(result.effective_m) -
                   static_cast<std::ptrdiff_t>(result.bound.m);
   result.nonblocking = result.margin >= 0;

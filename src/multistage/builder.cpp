@@ -10,9 +10,7 @@ namespace wdm {
 
 ClosParams nonblocking_params(std::size_t n, std::size_t r, std::size_t k,
                               Construction construction) {
-  const NonblockingBound bound = construction == Construction::kMswDominant
-                                     ? theorem1_min_m(n, r)
-                                     : theorem2_min_m(n, r, k);
+  const NonblockingBound bound = theorem_min_m(n, r, k, construction);
   ClosParams params{n, r, std::max(bound.m, n), k};
   params.validate();
   return params;

@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "faults/fault_model.h"
-
 namespace wdm {
 
 std::string Route::to_string() const {
@@ -196,27 +194,6 @@ void ThreeStageNetwork::attach_fault_model(const FaultModel* faults) {
         params_.to_string());
   }
   faults_ = faults;
-}
-
-const FaultModel* ThreeStageNetwork::active_fault_model() const {
-  return faults_ != nullptr && faults_->any() ? faults_ : nullptr;
-}
-
-bool ThreeStageNetwork::middle_usable(std::size_t j) const {
-  const FaultModel* faults = active_fault_model();
-  return faults == nullptr || !faults->middle_failed(j);
-}
-
-bool ThreeStageNetwork::link12_lane_usable(std::size_t i, std::size_t j,
-                                           Wavelength lane) const {
-  const FaultModel* faults = active_fault_model();
-  return faults == nullptr || faults->link12_usable(i, j, lane);
-}
-
-bool ThreeStageNetwork::link23_lane_usable(std::size_t j, std::size_t p,
-                                           Wavelength lane) const {
-  const FaultModel* faults = active_fault_model();
-  return faults == nullptr || faults->link23_usable(j, p, lane);
 }
 
 const SwitchModule& ThreeStageNetwork::input_module(std::size_t i) const {

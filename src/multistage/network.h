@@ -57,12 +57,11 @@
 
 #include "combinatorics/multiset.h"
 #include "core/connection.h"
+#include "faults/fault_model.h"
 #include "multistage/clos_params.h"
 #include "multistage/module.h"
 
 namespace wdm {
-
-class FaultModel;
 
 /// One output-module delivery of a route branch.
 struct DeliveryLeg {
@@ -249,16 +248,22 @@ class ThreeStageNetwork {
   /// The fault model, but only when it currently carries at least one
   /// active fault (the routing fast path: nullptr means "take the
   /// fault-free code path").
-  [[nodiscard]] const FaultModel* active_fault_model() const;
+  [[nodiscard]] const FaultModel* active_fault_model() const {
+    return faults_ != nullptr && faults_->any() ? faults_ : nullptr;
+  }
 
-  /// Middle module j is powered and reachable (true when no faults active).
-  [[nodiscard]] bool middle_usable(std::size_t j) const;
-  /// Lane `lane` of the input-module-i -> middle-j link can carry a signal.
-  [[nodiscard]] bool link12_lane_usable(std::size_t i, std::size_t j,
-                                        Wavelength lane) const;
-  /// Lane `lane` of the middle-j -> output-module-p link can carry a signal.
-  [[nodiscard]] bool link23_lane_usable(std::size_t j, std::size_t p,
-                                        Wavelength lane) const;
+  /// Lanes of the input-module-i -> middle-j link that can carry a signal
+  /// (bit = lane, like a port's occupancy word): all k lanes with no active
+  /// fault, else FaultModel::link12_usable_lanes.
+  [[nodiscard]] std::uint64_t link12_usable_lanes(std::size_t i, std::size_t j) const {
+    const FaultModel* faults = active_fault_model();
+    return faults == nullptr ? inputs_[i].out_lane_mask() : faults->link12_usable_lanes(i, j);
+  }
+  /// Same for the middle-j -> output-module-p link.
+  [[nodiscard]] std::uint64_t link23_usable_lanes(std::size_t j, std::size_t p) const {
+    const FaultModel* faults = active_fault_model();
+    return faults == nullptr ? middles_[j].out_lane_mask() : faults->link23_usable_lanes(j, p);
+  }
 
   // -- middle-stage occupancy rows (DESIGN.md §3.10) ------------------------
   /// Words per row: ceil(m / 64). Bit j of a row stands for middle module j.

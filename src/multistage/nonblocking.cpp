@@ -110,6 +110,12 @@ NonblockingBound theorem2_min_m(std::size_t n, std::size_t r, std::size_t k) {
   return best;
 }
 
+NonblockingBound theorem_min_m(std::size_t n, std::size_t r, std::size_t k,
+                               Construction construction) {
+  return construction == Construction::kMswDominant ? theorem1_min_m(n, r)
+                                                    : theorem2_min_m(n, r, k);
+}
+
 std::size_t closed_form_x(std::size_t r) {
   if (r < 3) return 1;
   const double lr = std::log(static_cast<double>(r));
@@ -161,9 +167,7 @@ MultistageCost balanced_multistage_cost(std::size_t N, std::size_t k,
   if (root * root != N) {
     throw std::invalid_argument("balanced_multistage_cost: N must be a perfect square");
   }
-  const NonblockingBound bound = construction == Construction::kMswDominant
-                                     ? theorem1_min_m(root, root)
-                                     : theorem2_min_m(root, root, k);
+  const NonblockingBound bound = theorem_min_m(root, root, k, construction);
   const ClosParams params{root, root, std::max(bound.m, root), k};
   return multistage_cost(params, construction, network_model);
 }

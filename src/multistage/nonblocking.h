@@ -38,6 +38,11 @@ struct NonblockingBound {
 [[nodiscard]] NonblockingBound theorem2_min_m(std::size_t n, std::size_t r,
                                               std::size_t k);
 
+/// The bound of `construction`'s theorem: Theorem 1 for MSW-dominant,
+/// Theorem 2 for MAW-dominant networks.
+[[nodiscard]] NonblockingBound theorem_min_m(std::size_t n, std::size_t r, std::size_t k,
+                                             Construction construction);
+
 /// The right-hand side of Theorem 1 / 2 for one specific x (before
 /// minimizing). Exposed for tests and for the ablation bench.
 [[nodiscard]] double theorem1_rhs(std::size_t n, std::size_t r, std::size_t x);

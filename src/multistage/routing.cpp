@@ -77,11 +77,8 @@ Router::Router(ThreeStageNetwork& network, RoutingPolicy policy)
 
 RoutingPolicy Router::recommended_policy(const ClosParams& params,
                                          Construction construction) {
-  const NonblockingBound bound =
-      construction == Construction::kMswDominant
-          ? theorem1_min_m(params.n, params.r)
-          : theorem2_min_m(params.n, params.r, params.k);
-  return {bound.x, RouteSearch::kExhaustive};
+  return {theorem_min_m(params.n, params.r, params.k, construction).x,
+          RouteSearch::kExhaustive};
 }
 
 const Route* Router::find_route_instrumented(const MulticastRequest& request) const {
@@ -121,7 +118,7 @@ bool Router::build_demands(const MulticastRequest& request) const {
   const MulticastModel output_model = network_->network_model();
   const Wavelength source_lane = request.input.lane;
 
-  // Group destinations by output module and work out each module's link-lane
+  // Group destinations by output module under each module's link-lane
   // requirement. The demand slots are stamp-gated: a slot belongs to this
   // request iff its stamp equals the fresh generation, so nothing is cleared
   // between requests. Targets are sorted ascending, reproducing the
@@ -130,12 +127,16 @@ bool Router::build_demands(const MulticastRequest& request) const {
   targets_.clear();
   for (const auto& out : request.outputs) {
     const std::size_t module = network_->output_module_of(out.port);
+    const Wavelength required =
+        required_link_lane(construction, output_model, source_lane, out.lane);
     ModuleDemand& demand = demands_[module];
     if (demand_stamp_[module] != gen) {
       demand_stamp_[module] = gen;
       demand.destinations.clear();
-      demand.required_link_lane = kNoWavelength;
+      demand.required_link_lane = required;
       targets_.push_back(module);
+    } else if (demand.required_link_lane != required) {
+      return false;  // unsatisfiable: one link cannot carry two lanes
     }
     demand.destinations.push_back(out);
   }
@@ -147,22 +148,6 @@ bool Router::build_demands(const MulticastRequest& request) const {
     for (; p > 0 && targets_[p - 1] > v; --p) targets_[p] = targets_[p - 1];
     targets_[p] = v;
   }
-  for (const std::size_t module : targets_) {
-    ModuleDemand& demand = demands_[module];
-    if (construction == Construction::kMswDominant) {
-      // Stages 1-2 hold the source lane, so every module is fed on it.
-      demand.required_link_lane = source_lane;
-    } else if (output_model == MulticastModel::kMSW) {
-      // MAW-dominant feeding an MSW output module: the module cannot
-      // convert, so the link must already carry the destination lane (all
-      // destinations in the module share it under an MSW network model).
-      const Wavelength lane = demand.destinations.front().lane;
-      for (const auto& dest : demand.destinations) {
-        if (dest.lane != lane) return false;  // unsatisfiable demand
-      }
-      demand.required_link_lane = lane;
-    }
-  }
   return true;
 }
 
@@ -170,11 +155,14 @@ bool Router::gather_rows(std::size_t in_module, Wavelength source_lane) const {
   RouterMetrics& counters = RouterMetrics::get();
   counters.middle_probes.add(network_->params().m);
   // The rows hold occupancy only. `faults` stays null unless a model is
-  // attached AND carries an active fault; then each set bit is re-checked
-  // against the fault model, which the network is never notified about.
+  // attached AND carries an active fault; then each set bit is kept iff the
+  // link has a lane that is usable, free, and accepted by the demand (a
+  // failed middle's usable words are 0). The network is never notified of
+  // faults.
   const FaultModel* faults = network_->active_fault_model();
-  const bool msw = network_->construction() == Construction::kMswDominant;
-  const Wavelength cand_lane = msw ? source_lane : kNoWavelength;
+  const Wavelength cand_lane =
+      network_->construction() == Construction::kMswDominant ? source_lane : kNoWavelength;
+  const std::uint64_t cand_lanes = accepted_lanes(cand_lane);
   const std::uint64_t* cand_row = network_->candidate_row(in_module, cand_lane);
   const SwitchModule& input = network_->input_module(in_module);
   std::size_t n_candidates = 0;
@@ -182,9 +170,8 @@ bool Router::gather_rows(std::size_t in_module, Wavelength source_lane) const {
     std::uint64_t word = cand_row[w];
     if (faults != nullptr) {
       word = keep_usable(word, w, [&](std::size_t j) {
-        return !faults->middle_failed(j) &&
-               (msw ? faults->link12_usable(in_module, j, source_lane)
-                    : usable_free_lane(input, j, LinkStage::kInputToMiddle, in_module));
+        return (faults->link12_usable_lanes(in_module, j) & ~input.out_word(j) &
+                cand_lanes) != 0;
       });
     }
     cand_mask_[w] = word;
@@ -202,16 +189,15 @@ bool Router::gather_rows(std::size_t in_module, Wavelength source_lane) const {
   for (std::size_t t = 0; t < n_targets; ++t) {
     const std::size_t target = targets_[t];
     const Wavelength lane = demands_[target].required_link_lane;
+    const std::uint64_t lanes = accepted_lanes(lane);
     const std::uint64_t* serve = network_->serve_row(target, lane);
     std::uint64_t* row = serves_.data() + t * cand_words_;
     for (std::size_t w = 0; w < cand_words_; ++w) {
       std::uint64_t word = serve[w] & cand_mask_[w];
       if (faults != nullptr) {
         word = keep_usable(word, w, [&](std::size_t j) {
-          return lane == kNoWavelength
-                     ? usable_free_lane(network_->middle_module(j), target,
-                                        LinkStage::kMiddleToOutput, j)
-                     : faults->link23_usable(j, target, lane);
+          return (faults->link23_usable_lanes(j, target) &
+                  ~network_->middle_module(j).out_word(target) & lanes) != 0;
         });
       }
       row[w] = word;
@@ -461,8 +447,9 @@ const Route* Router::cover_and_materialize(const MulticastRequest& request) cons
             break;
           }
         }
-        const auto lane = pick_lane(middle, module, preferred,
-                                    LinkStage::kMiddleToOutput, branch.middle);
+        const auto lane = pick_lane(network_->link23_usable_lanes(j, module) &
+                                        ~middle.out_word(module),
+                                    preferred);
         if (!lane) return nullptr;  // should not happen: serves_ said free
         leg.link_lane = *lane;
       }
@@ -476,8 +463,9 @@ const Route* Router::cover_and_materialize(const MulticastRequest& request) cons
     if (network_->construction() == Construction::kMswDominant) {
       branch.link_lane = source_lane;
     } else {
-      const auto lane = pick_lane(input, branch.middle, source_lane,
-                                  LinkStage::kInputToMiddle, in_module);
+      const auto lane = pick_lane(network_->link12_usable_lanes(in_module, j) &
+                                      ~input.out_word(j),
+                                  source_lane);
       if (!lane) return nullptr;  // candidate check said a lane was free
       branch.link_lane = *lane;
     }
@@ -485,46 +473,20 @@ const Route* Router::cover_and_materialize(const MulticastRequest& request) cons
   return &route_;
 }
 
-std::optional<Wavelength> Router::pick_lane(const SwitchModule& module,
-                                            std::size_t out_port,
-                                            Wavelength preferred,
-                                            LinkStage stage,
-                                            std::size_t from_module) const {
-  const FaultModel* faults = network_->active_fault_model();
-  if (faults == nullptr) {
-    if (policy_.lanes == LanePolicy::kPreferSource &&
-        module.out_lane_free(out_port, preferred)) {
-      return preferred;
-    }
-    return module.lowest_free_out_lane(out_port);
-  }
-  const auto lane_usable = [&](Wavelength lane) {
-    return stage == LinkStage::kInputToMiddle
-               ? faults->link12_usable(from_module, out_port, lane)
-               : faults->link23_usable(from_module, out_port, lane);
-  };
-  if (policy_.lanes == LanePolicy::kPreferSource &&
-      module.out_lane_free(out_port, preferred) && lane_usable(preferred)) {
+std::optional<Wavelength> Router::pick_lane(std::uint64_t free_usable,
+                                            Wavelength preferred) const {
+  if (policy_.lanes == LanePolicy::kPreferSource && (free_usable >> preferred & 1) != 0) {
     return preferred;
   }
-  for (Wavelength lane = 0; lane < module.lanes(); ++lane) {
-    if (module.out_lane_free(out_port, lane) && lane_usable(lane)) return lane;
-  }
-  return std::nullopt;
+  if (free_usable == 0) return std::nullopt;
+  return static_cast<Wavelength>(std::countr_zero(free_usable));
 }
 
-bool Router::usable_free_lane(const SwitchModule& module, std::size_t out_port,
-                              LinkStage stage, std::size_t from_module) const {
-  const FaultModel* faults = network_->active_fault_model();
-  if (faults == nullptr) return module.free_out_lanes(out_port) > 0;
-  for (Wavelength lane = 0; lane < module.lanes(); ++lane) {
-    if (!module.out_lane_free(out_port, lane)) continue;
-    const bool usable = stage == LinkStage::kInputToMiddle
-                            ? faults->link12_usable(from_module, out_port, lane)
-                            : faults->link23_usable(from_module, out_port, lane);
-    if (usable) return true;
-  }
-  return false;
+Wavelength required_link_lane(Construction construction, MulticastModel output_model,
+                              Wavelength source_lane, Wavelength dest_lane) {
+  if (construction == Construction::kMswDominant) return source_lane;
+  if (output_model == MulticastModel::kMSW) return dest_lane;
+  return kNoWavelength;
 }
 
 std::size_t conversions_in_route(const ThreeStageNetwork::RecordView& view) {

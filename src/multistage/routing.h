@@ -17,6 +17,9 @@
 //   any free lane for MSDW/MAW output modules, the destination lane itself
 //   for MSW output modules (they cannot convert).
 //
+// required_link_lane states that lane rule once; the repack planner reads
+// it too, so it chases exactly the lanes the search needed.
+//
 // The default search is exhaustive (complete within the spread limit):
 // branch on the uncovered output module with the fewest serving candidates.
 // A greedy most-coverage-first variant exists for ablation; it can block
@@ -32,7 +35,11 @@
 // Hot-path data layout (see DESIGN.md): the candidate and serve sets are
 // gathered from the network's always-live middle-stage rows (m-bit word
 // masks, ThreeStageNetwork::candidate_row/serve_row), so no request probes
-// individual middle modules. The search then runs entirely on per-router
+// individual middle modules. The rows hold occupancy only; with an active
+// fault model each set bit is kept iff the link's usable-lane word
+// (FaultModel::link12_usable_lanes / link23_usable_lanes) ANDed with its free
+// lanes and the lanes the demand accepts is nonzero, and link lanes are
+// picked from free & usable. The search then runs entirely on per-router
 // scratch buffers -- demands in a flat array indexed by output module (with
 // stamp-based reset), the serves relation and cover state as 64-bit word
 // masks, and the result route in a scratch Route rebuilt through the
@@ -51,6 +58,21 @@
 namespace wdm {
 
 enum class RouteSearch { kExhaustive, kGreedy };
+
+/// The link lane a middle -> output-module link must carry to deliver a
+/// request from `source_lane` to a destination on `dest_lane` (Lemma 4's
+/// lane rule): the source lane in MSW-dominant networks (stages 1-2 hold
+/// it), the destination lane into the MSW output modules of an MAW-dominant
+/// network (they cannot convert), else kNoWavelength (any free lane).
+[[nodiscard]] Wavelength required_link_lane(Construction construction,
+                                            MulticastModel output_model,
+                                            Wavelength source_lane, Wavelength dest_lane);
+
+/// The lanes a link may use to meet a lane requirement (bit = lane):
+/// `lane` alone, or every lane for kNoWavelength.
+[[nodiscard]] inline std::uint64_t accepted_lanes(Wavelength lane) {
+  return lane == kNoWavelength ? ~std::uint64_t{0} : std::uint64_t{1} << lane;
+}
 
 /// Which lane an MAW-dominant route picks on a link when several are free
 /// (MSW-dominant routes have no choice -- they hold the source lane).
@@ -97,9 +119,6 @@ class Router {
   [[nodiscard]] ConnectError last_error() const { return last_error_; }
 
  private:
-  /// Which inter-stage gap a link lives in (for fault lookups).
-  enum class LinkStage { kInputToMiddle, kMiddleToOutput };
-
   /// Per-output-module delivery requirements of one request (scratch slot;
   /// `destinations` keeps its capacity across requests).
   struct ModuleDemand {
@@ -128,19 +147,11 @@ class Router {
   /// points into the router's scratch.
   [[nodiscard]] const Route* find_route_instrumented(
       const MulticastRequest& request) const;
-  /// Lane choice on a module's output link honoring the lane policy. The
-  /// link runs `from_module` -> `out_port` in gap `stage`; with a degraded
-  /// fault model attached, failed lanes are skipped.
-  [[nodiscard]] std::optional<Wavelength> pick_lane(const SwitchModule& module,
-                                                    std::size_t out_port,
-                                                    Wavelength preferred,
-                                                    LinkStage stage,
-                                                    std::size_t from_module) const;
-  /// Does the link have a lane that is both free and healthy? Equivalent to
-  /// free_out_lanes(out_port) > 0 on a fault-free network.
-  [[nodiscard]] bool usable_free_lane(const SwitchModule& module,
-                                      std::size_t out_port, LinkStage stage,
-                                      std::size_t from_module) const;
+  /// Lane choice among a link's free, usable lanes (bit = lane) honoring
+  /// the lane policy: `preferred` under kPreferSource when its bit is set,
+  /// else the lowest set bit; nullopt when none is set.
+  [[nodiscard]] std::optional<Wavelength> pick_lane(std::uint64_t free_usable,
+                                                    Wavelength preferred) const;
 
   ThreeStageNetwork* network_;
   RoutingPolicy policy_;

@@ -1,8 +1,8 @@
 #include "repack/repack.h"
 
+#include <bit>
 #include <stdexcept>
 
-#include "faults/fault_model.h"
 #include "util/metrics.h"
 #include "util/trace_span.h"
 
@@ -24,6 +24,11 @@ struct RepackMetrics {
     return instance;
   }
 };
+
+/// Index of the lowest set bit of a nonzero lane word.
+Wavelength lowest_lane(std::uint64_t lanes) {
+  return static_cast<Wavelength>(std::countr_zero(lanes));
+}
 
 }  // namespace
 
@@ -182,23 +187,16 @@ std::optional<ConnectionId> RepackPlanner::propose(
     const MulticastRequest& request, const RepackExecutor& txn) const {
   const ClosParams& params = network_->params();
   const Construction construction = network_->construction();
-  const MulticastModel output_model = network_->network_model();
-  const bool msw = construction == Construction::kMswDominant;
   const Wavelength source_lane = request.input.lane;
   const std::size_t in_module = network_->input_module_of(request.input.port);
-  const FaultModel* faults = network_->active_fault_model();
 
-  // Per-output-module (module, required link lane) demands, mirroring
-  // Router::build_demands' lane discipline. kNoWavelength = any lane.
+  // Per-output-module (module, required link lane) demands under the
+  // router's lane rule. kNoWavelength = any lane.
   targets_.clear();
   for (const auto& out : request.outputs) {
     const std::size_t module = network_->output_module_of(out.port);
-    Wavelength required = kNoWavelength;
-    if (msw) {
-      required = source_lane;
-    } else if (output_model == MulticastModel::kMSW) {
-      required = out.lane;
-    }
+    const Wavelength required = required_link_lane(
+        construction, network_->network_model(), source_lane, out.lane);
     bool merged = false;
     for (auto& [existing, lane] : targets_) {
       if (existing != module) continue;
@@ -209,41 +207,20 @@ std::optional<ConnectionId> RepackPlanner::propose(
     if (!merged) targets_.emplace_back(module, required);
   }
 
+  // Lanes the request may take into a middle: MSW-dominant holds the source
+  // lane, MAW-dominant converts to any. Each link's candidate lanes are the
+  // usable ones among those; a failed middle's usable words are 0, so it is
+  // neither a candidate nor has an owner worth migrating.
+  const std::uint64_t in_lanes = accepted_lanes(
+      construction == Construction::kMswDominant ? source_lane : kNoWavelength);
   const SwitchModule& input = network_->input_module(in_module);
   for (std::size_t j = 0; j < params.m; ++j) {
-    // A failed middle blocks forever; migrating its tenants cannot help.
-    if (faults != nullptr && faults->middle_failed(j)) continue;
-
-    bool candidate;
-    if (msw) {
-      candidate = input.out_lane_free(j, source_lane) &&
-                  (faults == nullptr ||
-                   faults->link12_usable(in_module, j, source_lane));
-    } else {
-      candidate = false;
-      for (Wavelength lane = 0; lane < params.k && !candidate; ++lane) {
-        candidate = input.out_lane_free(j, lane) &&
-                    (faults == nullptr ||
-                     faults->link12_usable(in_module, j, lane));
-      }
-    }
-    if (!candidate) {
+    const std::uint64_t usable12 = network_->link12_usable_lanes(in_module, j) & in_lanes;
+    if ((usable12 & ~input.out_word(j)) == 0) {
       // Blocked into the middle: free a link12 lane the request could use.
-      if (msw) {
-        if (faults == nullptr ||
-            faults->link12_usable(in_module, j, source_lane)) {
-          const ConnectionId owner = owner12(in_module, j, source_lane);
-          if (viable(owner, txn)) return owner;
-        }
-      } else {
-        for (Wavelength lane = 0; lane < params.k; ++lane) {
-          if (faults != nullptr &&
-              !faults->link12_usable(in_module, j, lane)) {
-            continue;
-          }
-          const ConnectionId owner = owner12(in_module, j, lane);
-          if (viable(owner, txn)) return owner;
-        }
+      for (std::uint64_t bits = usable12; bits != 0; bits &= bits - 1) {
+        const ConnectionId owner = owner12(in_module, j, lowest_lane(bits));
+        if (viable(owner, txn)) return owner;
       }
       continue;
     }
@@ -251,26 +228,11 @@ std::optional<ConnectionId> RepackPlanner::propose(
     // Candidate middle: free the first target it fails to serve.
     const SwitchModule& middle = network_->middle_module(j);
     for (const auto& [p, lane] : targets_) {
-      if (lane != kNoWavelength) {
-        const bool healthy =
-            faults == nullptr || faults->link23_usable(j, p, lane);
-        if (middle.out_lane_free(p, lane) && healthy) continue;  // serves
-        if (healthy) {
-          const ConnectionId owner = owner23(j, p, lane);
-          if (viable(owner, txn)) return owner;
-        }
-      } else {
-        bool serves = false;
-        for (Wavelength l = 0; l < params.k && !serves; ++l) {
-          serves = middle.out_lane_free(p, l) &&
-                   (faults == nullptr || faults->link23_usable(j, p, l));
-        }
-        if (serves) continue;
-        for (Wavelength l = 0; l < params.k; ++l) {
-          if (faults != nullptr && !faults->link23_usable(j, p, l)) continue;
-          const ConnectionId owner = owner23(j, p, l);
-          if (viable(owner, txn)) return owner;
-        }
+      const std::uint64_t usable23 = network_->link23_usable_lanes(j, p) & accepted_lanes(lane);
+      if ((usable23 & ~middle.out_word(p)) != 0) continue;  // serves
+      for (std::uint64_t bits = usable23; bits != 0; bits &= bits - 1) {
+        const ConnectionId owner = owner23(j, p, lowest_lane(bits));
+        if (viable(owner, txn)) return owner;
       }
     }
   }

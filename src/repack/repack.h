@@ -8,13 +8,14 @@
 // against live traffic). Three pieces (protocol in DESIGN.md §3.12):
 //
 //   RepackPlanner  - maps a blocked request to the session occupying the
-//                    lane that blocks it. Keeps a lane-owner index over the
-//                    same flat (module, port, lane) layout as FaultModel's
-//                    lane vectors, and mirrors the Router's lane discipline
-//                    (MSW-dominant: source lane end to end; MAW-dominant:
-//                    any link12 lane, destination lane into MSW output
-//                    modules) so it chases exactly the lanes the search
-//                    needed.
+//                    lane that blocks it. Keeps a lane-owner index over flat
+//                    (module, port, lane) slots, and reads each target's
+//                    link lane from the Router's own rule
+//                    (required_link_lane: MSW-dominant holds the source
+//                    lane; MAW-dominant takes any link12 lane and the
+//                    destination lane into MSW output modules) and each
+//                    link's lanes as free & usable words, like the search,
+//                    so it chases exactly the lanes the search needed.
 //   RepackExecutor - a break-before-make transaction over a Router: release
 //                    victims, admit, re-route the victims, commit -- or roll
 //                    back, reinstating every victim's original route.
@@ -189,12 +190,12 @@ class RepackPlanner {
 
   Router* router_;
   ThreeStageNetwork* network_;
-  // Flat lane-owner vectors, same layouts as FaultModel's lane vectors:
-  // owner12_[(i*m + j)*k + lane], owner23_[(j*r + p)*k + lane].
+  // Flat lane-owner vectors: owner12_[(i*m + j)*k + lane],
+  // owner23_[(j*r + p)*k + lane].
   std::vector<ConnectionId> owner12_;
   std::vector<ConnectionId> owner23_;
   // Per-propose scratch: (output module, required link lane) demands of the
-  // blocked request, mirroring Router::build_demands' lane discipline.
+  // blocked request, under required_link_lane like Router::build_demands.
   mutable std::vector<std::pair<std::size_t, Wavelength>> targets_;
 };
 

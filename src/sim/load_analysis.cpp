@@ -39,9 +39,7 @@ ProvisioningResult provision_middle_stage(std::size_t n, std::size_t r,
                                           const SimConfig& base_config,
                                           double target_blocking,
                                           std::size_t trials) {
-  const NonblockingBound bound = construction == Construction::kMswDominant
-                                     ? theorem1_min_m(n, r)
-                                     : theorem2_min_m(n, r, k);
+  const NonblockingBound bound = theorem_min_m(n, r, k, construction);
   ProvisioningResult result;
   result.theorem_m = bound.m;
 

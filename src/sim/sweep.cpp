@@ -11,9 +11,7 @@ namespace wdm {
 
 std::vector<std::size_t> default_m_range(std::size_t n, std::size_t r, std::size_t k,
                                          Construction construction) {
-  const NonblockingBound bound = construction == Construction::kMswDominant
-                                     ? theorem1_min_m(n, r)
-                                     : theorem2_min_m(n, r, k);
+  const NonblockingBound bound = theorem_min_m(n, r, k, construction);
   const std::size_t low = n;  // structural minimum (ClosParams requires m >= n)
   const std::size_t high = bound.m + std::max<std::size_t>(2, bound.m / 4);
   std::vector<std::size_t> values;
@@ -27,9 +25,7 @@ std::vector<SweepPoint> sweep_middle_count(const SweepConfig& config) {
           ? default_m_range(config.n, config.r, config.k, config.construction)
           : config.m_values;
   const NonblockingBound bound =
-      config.construction == Construction::kMswDominant
-          ? theorem1_min_m(config.n, config.r)
-          : theorem2_min_m(config.n, config.r, config.k);
+      theorem_min_m(config.n, config.r, config.k, config.construction);
 
   std::vector<SweepPoint> points(m_values.size());
   for (std::size_t i = 0; i < points.size(); ++i) {

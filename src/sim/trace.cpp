@@ -142,6 +142,7 @@ std::vector<TraceEvent> record_random_workload(const ClosParams& params,
                                                MulticastModel network_model,
                                                const SimConfig& config) {
   MultistageSwitch sw(params, construction, network_model);
+  if (config.repack) sw.enable_repack(repack::RepackPolicy{});
   SwitchChurnTarget target{sw};
   TraceRecorder recorder;
   ChurnStream stream{Rng(config.seed)};
@@ -151,7 +152,17 @@ std::vector<TraceEvent> record_random_workload(const ClosParams& params,
   for (std::size_t step = 0; step < config.steps; ++step) {
     const ChurnOutcome outcome = churn_step(target, stream, mix);
     if (outcome.request) {  // admitted or blocked: recorded either way
-      if (outcome.op == ChurnOutcome::Op::kAdmitted) key_of[outcome.id] = next_key;
+      if (outcome.op == ChurnOutcome::Op::kAdmitted) {
+        key_of[outcome.id] = next_key;
+        // A repack admit moved sessions to fresh ids; their keys follow them.
+        if (const repack::RepackEngine* repacker = sw.repack_engine()) {
+          for (const auto& [old_id, new_id] : repacker->last_moved()) {
+            auto entry = key_of.extract(old_id);
+            entry.key() = new_id;
+            key_of.insert(std::move(entry));
+          }
+        }
+      }
       recorder.on_connect(next_key++, *outcome.request);
     } else if (outcome.op == ChurnOutcome::Op::kDeparted) {
       recorder.on_disconnect(key_of.extract(outcome.id).mapped());

@@ -104,7 +104,11 @@ template <typename Switch>
 
 /// Generate a reproducible random churn trace (the dynamic-sim workload,
 /// captured instead of applied): runs the churn against a scratch switch of
-/// the given geometry so every recorded connect was admissible then.
+/// the given geometry so every recorded connect was admissible then. With
+/// config.repack the scratch switch repacks on block like run_dynamic_sim,
+/// so the trace offers exactly the simulator's load; it records the offered
+/// connects and departures, not the migrations, so a replay re-decides
+/// admission (a replay without repack blocks where the recording repacked).
 [[nodiscard]] std::vector<TraceEvent> record_random_workload(
     const ClosParams& params, Construction construction,
     MulticastModel network_model, const SimConfig& config);

@@ -41,17 +41,6 @@ double ZipfSampler::probability(std::size_t i) const {
   return i == 0 ? cumulative_[0] : cumulative_[i] - cumulative_[i - 1];
 }
 
-namespace {
-
-double exponential(Rng& rng, double mean) {
-  // Inverse CDF; guard against log(0).
-  double u = rng.next_double();
-  if (u <= 0.0) u = 1e-12;
-  return -mean * std::log(u);
-}
-
-}  // namespace
-
 std::optional<MulticastRequest> skewed_admissible_request(
     Rng& rng, const ThreeStageNetwork& network, FanoutRange fanout,
     const ZipfSampler* popularity) {

@@ -122,9 +122,7 @@ TightnessReport probe_tightness(std::size_t n, std::size_t r, std::size_t k,
                                 Construction construction,
                                 MulticastModel network_model,
                                 const WitnessSearchConfig& config) {
-  const NonblockingBound bound = construction == Construction::kMswDominant
-                                     ? theorem1_min_m(n, r)
-                                     : theorem2_min_m(n, r, k);
+  const NonblockingBound bound = theorem_min_m(n, r, k, construction);
   TightnessReport report;
   report.theorem_bound_m = bound.m;
   const RoutingPolicy policy{bound.x, RouteSearch::kExhaustive};

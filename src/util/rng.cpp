@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace wdm {
@@ -75,6 +76,12 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t population,
   }
   pool.resize(count);
   return pool;
+}
+
+double exponential(Rng& rng, double mean) {
+  double u = rng.next_double();
+  if (u <= 0.0) u = 1e-12;
+  return -mean * std::log(u);
 }
 
 }  // namespace wdm

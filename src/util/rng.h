@@ -51,4 +51,8 @@ class Rng {
   std::uint64_t seed_;  // retained so split() can derive children
 };
 
+/// Exponentially distributed value with the given mean, by inverse CDF from
+/// one next_double() draw (a draw of 0 reads as 1e-12, so the log is finite).
+[[nodiscard]] double exponential(Rng& rng, double mean);
+
 }  // namespace wdm

@@ -65,6 +65,38 @@ TEST(FaultModel, LinkAndLaneUsability) {
   EXPECT_EQ(faults.active_faults(), 1u);
 }
 
+TEST(FaultModel, UsableLaneWordsCombineLaneLinkAndMiddle) {
+  FaultModel faults(small_params());
+  EXPECT_EQ(faults.link12_usable_lanes(0, 3), 0b11u);
+  EXPECT_EQ(faults.link23_usable_lanes(3, 2), 0b11u);
+
+  faults.fail({FaultComponentKind::kLink12Lane, 1, 2, 0});
+  EXPECT_EQ(faults.link12_usable_lanes(1, 2), 0b10u);
+  EXPECT_EQ(faults.link12_usable_lanes(0, 2), 0b11u);
+  faults.fail({FaultComponentKind::kLink12, 1, 2, 0});
+  EXPECT_EQ(faults.link12_usable_lanes(1, 2), 0u);
+  // Repairing the link brings back every lane but the one failed on its own.
+  faults.repair({FaultComponentKind::kLink12, 1, 2, 0});
+  EXPECT_EQ(faults.link12_usable_lanes(1, 2), 0b10u);
+  EXPECT_TRUE(faults.failed({FaultComponentKind::kLink12Lane, 1, 2, 0}));
+  EXPECT_FALSE(faults.failed({FaultComponentKind::kLink12Lane, 1, 2, 1}));
+
+  faults.fail_middle(2);
+  EXPECT_EQ(faults.link12_usable_lanes(0, 2), 0u);
+  EXPECT_EQ(faults.link23_usable_lanes(2, 0), 0u);
+  EXPECT_EQ(faults.link23_usable_lanes(1, 0), 0b11u);
+}
+
+TEST(FaultModel, SixtyFourLanesFillTheWordAndMoreAreRejected) {
+  FaultModel wide({2, 2, 2, 64});
+  EXPECT_EQ(wide.link12_usable_lanes(1, 1), ~std::uint64_t{0});
+  wide.fail({FaultComponentKind::kLink23Lane, 1, 0, 63});
+  EXPECT_EQ(wide.link23_usable_lanes(1, 0), ~std::uint64_t{0} >> 1);
+  EXPECT_FALSE(wide.link23_usable(1, 0, 63));
+  EXPECT_TRUE(wide.link23_usable(1, 0, 62));
+  EXPECT_THROW(FaultModel({2, 2, 2, 65}), std::invalid_argument);
+}
+
 TEST(FaultModel, OutOfRangeComponentsThrow) {
   FaultModel faults(small_params(), /*converter_slots=*/2);
   EXPECT_THROW(faults.fail_middle(4), std::out_of_range);
@@ -90,6 +122,20 @@ TEST(FaultModel, GeometryMismatchRejectedOnAttach) {
   EXPECT_EQ(network.fault_model(), &right);
   network.attach_fault_model(nullptr);
   EXPECT_EQ(network.fault_model(), nullptr);
+}
+
+TEST(FaultModel, NetworkUsableLanesAreAllLanesWithoutAnActiveFault) {
+  ThreeStageNetwork network(small_params(), Construction::kMawDominant,
+                            MulticastModel::kMAW);
+  EXPECT_EQ(network.link12_usable_lanes(2, 3), 0b11u);
+  FaultModel faults(small_params());
+  network.attach_fault_model(&faults);
+  EXPECT_EQ(network.link23_usable_lanes(3, 2), 0b11u);  // attached, no fault
+  faults.fail({FaultComponentKind::kLink23Lane, 3, 2, 1});
+  faults.fail_middle(1);
+  EXPECT_EQ(network.link23_usable_lanes(3, 2), 0b01u);
+  EXPECT_EQ(network.link12_usable_lanes(0, 1), 0u);
+  EXPECT_EQ(network.link12_usable_lanes(0, 0), 0b11u);
 }
 
 // With a fault model attached but no fault active, every routing decision --

@@ -1,6 +1,9 @@
 // Trace record / CSV round-trip / replay.
 #include "sim/trace.h"
 
+#include <cstdint>
+#include <set>
+
 #include "fabric/fabric_switch.h"
 #include "sim/nested.h"
 
@@ -84,6 +87,38 @@ TEST(Trace, RecordedWorkloadReplaysCleanOnSameGeometry) {
   EXPECT_EQ(result.unmatched_disconnects, 0u);
   EXPECT_EQ(result.admitted, result.connects);
   sw.network().self_check();
+}
+
+// Below the bound with repack on, the recording repacks like the simulator:
+// it offers exactly run_dynamic_sim's requests and departs only sessions it
+// connected, under the keys they were connected with, even after a repack
+// moved them to fresh ids.
+TEST(Trace, RepackRecordingOffersTheSimulatorsLoad) {
+  const ClosParams params{4, 4, 4, 2};
+  SimConfig config;
+  config.steps = 3000;
+  config.arrival_fraction = 0.7;
+  config.fanout = {1, 4};
+  config.seed = 0x5717;
+  config.repack = true;
+  const auto events = record_random_workload(params, Construction::kMswDominant,
+                                             MulticastModel::kMSW, config);
+  MultistageSwitch sw(params, Construction::kMswDominant, MulticastModel::kMSW);
+  const SimStats stats = run_dynamic_sim(sw, config);
+  ASSERT_GT(stats.repacked_admits, 0u);
+
+  std::set<std::uint64_t> connected;
+  std::set<std::uint64_t> departed;
+  for (const TraceEvent& event : events) {
+    if (event.type == TraceEvent::Type::kConnect) {
+      EXPECT_TRUE(connected.insert(event.key).second) << "key reused: " << event.key;
+    } else {
+      EXPECT_TRUE(connected.contains(event.key)) << "unknown key: " << event.key;
+      EXPECT_TRUE(departed.insert(event.key).second) << "departed twice: " << event.key;
+    }
+  }
+  EXPECT_EQ(connected.size(), stats.attempts);
+  EXPECT_EQ(departed.size(), stats.departures);
 }
 
 TEST(Trace, ReplayOnSmallerMiddleStageShowsBlocking) {
