@@ -32,6 +32,7 @@
 #include <malloc.h>  // mallinfo2
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -43,6 +44,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,6 +53,7 @@
 #include "engine/churn_driver.h"
 #include "engine/sharded_engine.h"
 #include "faults/availability.h"
+#include "faults/fault_model.h"
 #include "multistage/builder.h"
 #include "multistage/network.h"
 #include "multistage/nonblocking.h"
@@ -230,6 +233,47 @@ std::optional<MulticastRequest> draw_msw_request(Rng& rng,
   return request;
 }
 
+/// Fill `network` to `fill` standing MSW sessions of fanout 1..max_fanout
+/// (at most 4 * fill draws).
+void fill_msw_sessions(const ThreeStageNetwork& network, Router& router, Rng& rng,
+                       std::vector<ConnectionId>& live, std::size_t fill,
+                       std::size_t max_fanout) {
+  for (std::size_t draw = 0; draw < 4 * fill && live.size() < fill; ++draw) {
+    if (const auto request = draw_msw_request(rng, network, max_fanout)) {
+      if (const auto id = router.try_connect(*request)) live.push_back(*id);
+    }
+  }
+}
+
+struct ProbeTally {
+  std::size_t routed = 0;
+  std::size_t blocked = 0;
+  std::size_t full_cover = 0;  // routes through one middle
+};
+
+/// `probes` MSW connect draws at the standing load: each admit retires a
+/// random standing session, so `live` keeps its size.
+ProbeTally churn_at_load(const ThreeStageNetwork& network, Router& router, Rng& rng,
+                         std::vector<ConnectionId>& live, std::size_t probes,
+                         std::size_t max_fanout) {
+  ProbeTally tally;
+  for (std::size_t probe = 0; probe < probes && !live.empty(); ++probe) {
+    const auto request = draw_msw_request(rng, network, max_fanout);
+    if (!request) continue;
+    const auto id = router.try_connect(*request);
+    if (!id) {
+      ++tally.blocked;
+      continue;
+    }
+    ++tally.routed;
+    if (network.connections().at(*id).spread() == 1) ++tally.full_cover;
+    const std::size_t victim = rng.next_below(live.size());
+    router.disconnect(live[victim]);
+    live[victim] = *id;
+  }
+  return tally;
+}
+
 BenchResult bench_routing_wide(bool tiny) {
   // Cover-search cost against m at the soak geometry's fabric (n = r = 128,
   // k = 64, MSW-dominant/MSW): m = 136 and m = 936, the Theorem 1 bound.
@@ -261,32 +305,13 @@ BenchResult bench_routing_wide(bool tiny) {
     Rng rng(0x5EED);
     std::vector<ConnectionId> live;
     live.reserve(fill);
-    for (std::size_t draw = 0; draw < 4 * fill && live.size() < fill; ++draw) {
-      if (const auto request = draw_msw_request(rng, network, max_fanout)) {
-        if (const auto id = router.try_connect(*request)) live.push_back(*id);
-      }
-    }
+    fill_msw_sessions(network, router, rng, live, fill, max_fanout);
     metrics().reset();
-    std::size_t blocked = 0;
-    for (std::size_t probe = 0; probe < probes && !live.empty(); ++probe) {
-      const auto request = draw_msw_request(rng, network, max_fanout);
-      if (!request) continue;
-      const auto id = router.try_connect(*request);
-      if (!id) {
-        ++blocked;
-        continue;
-      }
-      ++run.routed;
-      if (network.connections().at(*id).spread() == 1) {
-        ++run.full_cover;
-      }
-      // Keep the load level: retire a random standing session per admit.
-      const std::size_t victim = rng.next_below(live.size());
-      router.disconnect(live[victim]);
-      live[victim] = *id;
-    }
+    const ProbeTally tally = churn_at_load(network, router, rng, live, probes, max_fanout);
+    run.routed = tally.routed;
+    run.full_cover = tally.full_cover;
     run.p50_ns = metrics().timer("routing.find_route").percentile_ns(0.5);
-    run.ok = live.size() == fill && run.routed > 0 && blocked == 0;
+    run.ok = live.size() == fill && run.routed > 0 && tally.blocked == 0;
     network.self_check();
   }
 
@@ -306,6 +331,106 @@ BenchResult bench_routing_wide(bool tiny) {
                                   {"routed_m_low", runs[0].routed},
                                   {"routed_m_bound", runs[1].routed}},
                                  {{"construction", "msw-dominant"}});
+  result.ok = runs[0].ok && runs[1].ok;
+  return result;
+}
+
+BenchResult bench_routing_faults(bool tiny) {
+  // routing_wide's fabric and load (n = r = 128, k = 64, MSW-dominant/MSW,
+  // m = 136 and the Theorem 1 bound 936) with a fault model attached. Per m
+  // and scenario -- no fault, one failed middle, one failed stage 1-2 link,
+  // one failed stage 2-3 lane -- a fresh network gets the same fill and the
+  // same timed churn, the fault injected between the two, so the scenarios'
+  // routing.find_route p50s differ only by the fault. Also the median time
+  // to re-derive the middle-stage rows after a fault change (three fails,
+  // three repairs). ok = no route blocked and self_check passes. Report
+  // only: no wall-clock gate.
+  const std::size_t n = 128;
+  const std::size_t k = 64;
+  const std::size_t fill = tiny ? 256 : 32768;
+  const std::size_t probes = tiny ? 256 : 20000;
+  const std::size_t max_fanout = 4;
+  const std::size_t spread =
+      Router::recommended_policy({n, n, n, k}, Construction::kMswDominant)
+          .max_spread;
+  const FaultComponent components[] = {
+      {FaultComponentKind::kMiddleModule, 0, 0, 0},
+      {FaultComponentKind::kLink12, 0, 0, 0},
+      {FaultComponentKind::kLink23Lane, 0, 0, 0},
+  };
+  struct PerM {
+    std::size_t m;
+    std::size_t p50_ns[4] = {};  // no fault, middle, link, lane
+    std::size_t rebuild_us = 0;
+    bool ok = false;
+  };
+  std::vector<PerM> runs{{136}, {theorem1_min_m(n, n).m}};
+  for (PerM& run : runs) {
+    std::vector<double> rebuild_us;
+    std::size_t blocked = 0;
+    run.ok = true;
+    for (std::size_t scenario = 0; scenario < 4; ++scenario) {
+      ThreeStageNetwork network({n, n, run.m, k}, Construction::kMswDominant,
+                                MulticastModel::kMSW);
+      Router router(network, {spread, RouteSearch::kExhaustive, LanePolicy::kFirstFit});
+      FaultModel faults(network.params());
+      network.attach_fault_model(&faults);
+      Rng rng(0x5EED);
+      std::vector<ConnectionId> live;
+      live.reserve(fill);
+      fill_msw_sessions(network, router, rng, live, fill, max_fanout);
+      const auto timed_sync = [&] {
+        const auto start = std::chrono::steady_clock::now();
+        network.sync_fault_rows();
+        rebuild_us.push_back(std::chrono::duration<double, std::micro>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count());
+      };
+      if (scenario > 0) {
+        faults.fail(components[scenario - 1]);
+        timed_sync();
+      }
+      metrics().reset();
+      blocked += churn_at_load(network, router, rng, live, probes, max_fanout).blocked;
+      run.p50_ns[scenario] = metrics().timer("routing.find_route").percentile_ns(0.5);
+      if (scenario > 0) {
+        faults.repair(components[scenario - 1]);
+        timed_sync();
+      }
+      run.ok = run.ok && live.size() == fill;
+      try {
+        network.self_check();
+      } catch (const std::logic_error& error) {
+        std::cerr << "routing_faults: " << error.what() << "\n";
+        run.ok = false;
+      }
+    }
+    std::sort(rebuild_us.begin(), rebuild_us.end());
+    run.rebuild_us = static_cast<std::size_t>(rebuild_us[rebuild_us.size() / 2]);
+    run.ok = run.ok && blocked == 0;
+  }
+
+  BenchResult result;
+  result.params_json = params_of(
+      {{"n", n},
+       {"r", n},
+       {"k", k},
+       {"spread", spread},
+       {"fill_sessions", fill},
+       {"probes", probes},
+       {"m_low", runs[0].m},
+       {"m_bound", runs[1].m},
+       {"find_route_p50_ns_m_low", runs[0].p50_ns[0]},
+       {"find_route_p50_ns_failed_middle_m_low", runs[0].p50_ns[1]},
+       {"find_route_p50_ns_failed_link_m_low", runs[0].p50_ns[2]},
+       {"find_route_p50_ns_failed_lane_m_low", runs[0].p50_ns[3]},
+       {"rows_rebuild_us_m_low", runs[0].rebuild_us},
+       {"find_route_p50_ns_m_bound", runs[1].p50_ns[0]},
+       {"find_route_p50_ns_failed_middle_m_bound", runs[1].p50_ns[1]},
+       {"find_route_p50_ns_failed_link_m_bound", runs[1].p50_ns[2]},
+       {"find_route_p50_ns_failed_lane_m_bound", runs[1].p50_ns[3]},
+       {"rows_rebuild_us_m_bound", runs[1].rebuild_us}},
+      {{"construction", "msw-dominant"}});
   result.ok = runs[0].ok && runs[1].ok;
   return result;
 }
@@ -923,6 +1048,9 @@ const std::vector<BenchCase>& bench_cases() {
       {"routing_wide",
        "cover-search cost at n=r=128, k=64: m=136 vs the Theorem 1 bound 936",
        bench_routing_wide},
+      {"routing_faults",
+       "routing_wide's fabric with a failed middle, link and lane: find_route p50 and row rebuild",
+       bench_routing_faults},
       {"engine_wide",
        "engine disconnect/connect cost at n=r=128, k=64: m=136 vs the Theorem 1 bound 936",
        bench_engine_wide},

@@ -92,6 +92,7 @@ void FaultModel::fail(const FaultComponent& component) {
   if ((*word & bit) != 0) return;  // already failed
   *word |= bit;
   ++active_faults_;
+  ++epoch_;
   if (component.kind == FaultComponentKind::kMiddleModule) ++failed_middles_;
   if (component.kind == FaultComponentKind::kConverterSlot) {
     ++failed_converter_slot_count_;
@@ -103,6 +104,7 @@ void FaultModel::repair(const FaultComponent& component) {
   if ((*word & bit) == 0) return;  // already healthy
   *word &= ~bit;
   --active_faults_;
+  ++epoch_;
   if (component.kind == FaultComponentKind::kMiddleModule) --failed_middles_;
   if (component.kind == FaultComponentKind::kConverterSlot) {
     --failed_converter_slot_count_;

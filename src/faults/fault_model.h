@@ -18,12 +18,15 @@
 // word, like a module port's occupancy word, so link12_usable_lanes /
 // link23_usable_lanes answer "which lanes of this link can carry a signal"
 // with one word: the healthy lanes, or 0 when the link or its middle module
-// is down. Routing and the repack planner AND it with the link's free lanes;
-// link12_usable / link23_usable read one bit of it. Attach a FaultModel to a
-// ThreeStageNetwork and the Router treats failed resources as occupied;
-// detached (or attached but empty), routing behavior and cost are
-// bit-identical to a fault-free build -- the any() fast path guards every
-// hot-path check.
+// is down. The network's middle-stage rows, the router's lane picks and the
+// repack planner AND it with the link's free lanes; link12_usable /
+// link23_usable read one bit of it. Attach a FaultModel to a
+// ThreeStageNetwork and its middle-stage rows treat failed lanes as busy:
+// every fail()/repair() that changes state bumps epoch(), and the network
+// re-derives its rows when the epoch it last saw has moved, so a model may
+// change after it is attached without telling the network. Detached (or
+// attached but empty), routing decisions are bit-identical to a fault-free
+// build.
 #pragma once
 
 #include <cstddef>
@@ -66,6 +69,10 @@ class FaultModel {
   /// Throws std::invalid_argument when k exceeds 64: a link's lanes are one
   /// word.
   explicit FaultModel(const ClosParams& params, std::size_t converter_slots = 0);
+  /// Deleted: a network tracks an attached model by its epoch, and another
+  /// model's state assigned over it could arrive with an epoch the network
+  /// already saw.
+  FaultModel& operator=(const FaultModel&) = delete;
 
   [[nodiscard]] const ClosParams& params() const { return params_; }
   [[nodiscard]] std::size_t converter_slot_count() const {
@@ -84,10 +91,11 @@ class FaultModel {
   [[nodiscard]] bool middle_failed(std::size_t j) const;
 
   // -- aggregate queries ----------------------------------------------------
-  /// Any failure currently active? This is the routing fast path: when it
-  /// returns false the network behaves (and costs) exactly as if no fault
-  /// model were attached.
+  /// Any failure currently active? When false every lane is usable and the
+  /// network routes exactly as if no fault model were attached.
   [[nodiscard]] bool any() const { return active_faults_ != 0; }
+  /// Bumped by every fail()/repair() that changes state (never by a no-op).
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] std::size_t active_faults() const { return active_faults_; }
   [[nodiscard]] std::size_t failed_middle_count() const { return failed_middles_; }
   [[nodiscard]] std::size_t failed_converter_slots() const {
@@ -141,6 +149,7 @@ class FaultModel {
   std::vector<std::uint64_t> link12_lanes_failed_;
   std::vector<std::uint64_t> link23_lanes_failed_;
   std::size_t active_faults_ = 0;
+  std::uint64_t epoch_ = 0;
   std::size_t failed_middles_ = 0;
   std::size_t failed_converter_slot_count_ = 0;
 };

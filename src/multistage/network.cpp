@@ -163,22 +163,11 @@ ThreeStageNetwork::ThreeStageNetwork(ClosParams params, Construction constructio
   middle_stamp_.assign(params_.m, 0);
   module_stamp_.assign(params_.r, 0);
 
-  // Every row starts all-free: bits 0..m-1 set, padding bits clear.
   row_words_ = (params_.m + 63) / 64;
-  std::vector<std::uint64_t> all_free(row_words_, ~0ull);
-  if (params_.m % 64 != 0) all_free.back() = (1ull << (params_.m % 64)) - 1;
-  const auto fill_rows = [&](std::vector<std::uint64_t>& rows, std::size_t count) {
-    rows.resize(count * row_words_);
-    for (std::size_t row = 0; row < count; ++row) {
-      std::copy(all_free.begin(), all_free.end(), rows.begin() + row * row_words_);
-    }
-  };
-  fill_rows(cand_lane_, params_.r * params_.k);
-  fill_rows(cand_any_, params_.r);
-  fill_rows(serve_lane_, params_.r * params_.k);
-  fill_rows(serve_any_, params_.r);
+  derive_rows(rows_);
   // Every middle starts marked, so the first drain reads out all m counts.
-  dirty_middles_ = all_free;
+  dirty_middles_.assign(row_words_, ~0ull);
+  if (params_.m % 64 != 0) dirty_middles_.back() = (1ull << (params_.m % 64)) - 1;
 }
 
 MulticastModel ThreeStageNetwork::inner_model() const {
@@ -194,6 +183,8 @@ void ThreeStageNetwork::attach_fault_model(const FaultModel* faults) {
         params_.to_string());
   }
   faults_ = faults;
+  derive_rows(rows_);
+  rows_epoch_ = faults != nullptr ? faults->epoch() : 0;
 }
 
 const SwitchModule& ThreeStageNetwork::input_module(std::size_t i) const {
@@ -506,9 +497,9 @@ void ThreeStageNetwork::for_each_transit(const RecordView& view, Visit&& visit) 
 }
 
 void ThreeStageNetwork::apply_record(const RecordView& view, bool occupy) {
-  // Row bits follow the module words: a lane just taken clears its per-lane
-  // bit and leaves the any-lane bit set only while the link still has
-  // another free lane; a lane just freed sets both.
+  // Row bits follow the module words: with `free` the link's free and
+  // usable lanes after the transit, the per-lane bit is that lane's bit of
+  // it and the any-lane bit is free != 0, on occupy and vacate alike.
   const auto assign_bit = [](std::uint64_t* row, std::size_t j, bool value) {
     const std::uint64_t bit = 1ull << (j & 63);
     row[j >> 6] = value ? row[j >> 6] | bit : row[j >> 6] & ~bit;
@@ -523,17 +514,17 @@ void ThreeStageNetwork::apply_record(const RecordView& view, bool occupy) {
       dirty_middles_[module >> 6] |= 1ull << (module & 63);
       busy_middle_lanes_ = occupy ? busy_middle_lanes_ + outs.size()
                                   : busy_middle_lanes_ - outs.size();
-      const SwitchModule& input = inputs_[in.port];
-      assign_bit(cand_lane_.data() + (in.port * params_.k + in.lane) * row_words_,
-                 module, !occupy);
-      assign_bit(cand_any_.data() + in.port * row_words_, module,
-                 !occupy || input.out_word(module) != input.out_lane_mask());
+      const std::uint64_t free =
+          link12_usable_lanes(in.port, module) & ~inputs_[in.port].out_word(module);
+      assign_bit(rows_.cand_lane.data() + (in.port * params_.k + in.lane) * row_words_,
+                 module, (free >> in.lane & 1) != 0);
+      assign_bit(rows_.cand_any.data() + in.port * row_words_, module, free != 0);
     } else if (stage == Stage::kOutput) {  // link in.port -> module
-      const SwitchModule& middle = middles_[in.port];
-      assign_bit(serve_lane_.data() + (module * params_.k + in.lane) * row_words_,
-                 in.port, !occupy);
-      assign_bit(serve_any_.data() + module * row_words_, in.port,
-                 !occupy || middle.out_word(module) != middle.out_lane_mask());
+      const std::uint64_t free =
+          link23_usable_lanes(in.port, module) & ~middles_[in.port].out_word(module);
+      assign_bit(rows_.serve_lane.data() + (module * params_.k + in.lane) * row_words_,
+                 in.port, (free >> in.lane & 1) != 0);
+      assign_bit(rows_.serve_any.data() + module * row_words_, in.port, free != 0);
     }
   });
 }
@@ -603,6 +594,35 @@ std::vector<bool> ThreeStageNetwork::middle_plane_destinations(
   return destinations;
 }
 
+void ThreeStageNetwork::derive_rows(MiddleRows& rows) const {
+  const std::size_t r = params_.r;
+  const std::size_t k = params_.k;
+  rows.cand_lane.assign(r * k * row_words_, 0);
+  rows.cand_any.assign(r * row_words_, 0);
+  rows.serve_lane.assign(r * k * row_words_, 0);
+  rows.serve_any.assign(r * row_words_, 0);
+  // Set bit j of edge module `edge`'s row for each lane in `free` (the
+  // link's free and usable lanes), and of its any-lane row when there is one.
+  const auto set_free = [&](std::vector<std::uint64_t>& lane_rows,
+                            std::vector<std::uint64_t>& any_rows, std::size_t edge,
+                            std::size_t j, std::uint64_t free) {
+    const std::uint64_t bit = 1ull << (j & 63);
+    if (free != 0) any_rows[edge * row_words_ + (j >> 6)] |= bit;
+    for (; free != 0; free &= free - 1) {
+      const auto lane = static_cast<std::size_t>(std::countr_zero(free));
+      lane_rows[(edge * k + lane) * row_words_ + (j >> 6)] |= bit;
+    }
+  };
+  for (std::size_t edge = 0; edge < r; ++edge) {
+    for (std::size_t j = 0; j < params_.m; ++j) {
+      set_free(rows.cand_lane, rows.cand_any, edge, j,
+               link12_usable_lanes(edge, j) & ~inputs_[edge].out_word(j));
+      set_free(rows.serve_lane, rows.serve_any, edge, j,
+               link23_usable_lanes(j, edge) & ~middles_[j].out_word(edge));
+    }
+  }
+}
+
 void ThreeStageNetwork::self_check() const {
   for (const auto& module : inputs_) module.self_check();
   for (const auto& module : middles_) module.self_check();
@@ -657,42 +677,14 @@ void ThreeStageNetwork::self_check() const {
         "ThreeStageNetwork: busy-lane total diverged from the middle modules");
   }
 
-  // Re-derive all four row families from the module occupancy words.
-  const auto check_row = [&](const std::uint64_t* row, const auto& free_bit,
-                             const char* family) {
-    for (std::size_t w = 0; w < row_words_; ++w) {
-      std::uint64_t expected = 0;
-      for (std::size_t j = w * 64; j < std::min(params_.m, w * 64 + 64); ++j) {
-        expected |= static_cast<std::uint64_t>(free_bit(j)) << (j & 63);
-      }
-      if (row[w] != expected) {
-        throw std::logic_error(std::string("ThreeStageNetwork: ") + family +
-                               " row diverged from module occupancy");
-      }
-    }
-  };
-  for (std::size_t i = 0; i < params_.r; ++i) {
-    const SwitchModule& input = inputs_[i];
-    check_row(candidate_row(i, kNoWavelength),
-              [&](std::size_t j) { return input.out_word(j) != input.out_lane_mask(); },
-              "cand_any");
-    for (Wavelength lane = 0; lane < params_.k; ++lane) {
-      check_row(candidate_row(i, lane),
-                [&](std::size_t j) { return input.out_lane_free(j, lane); },
-                "cand_lane");
-    }
-  }
-  for (std::size_t p = 0; p < params_.r; ++p) {
-    check_row(serve_row(p, kNoWavelength),
-              [&](std::size_t j) {
-                return middles_[j].out_word(p) != middles_[j].out_lane_mask();
-              },
-              "serve_any");
-    for (Wavelength lane = 0; lane < params_.k; ++lane) {
-      check_row(serve_row(p, lane),
-                [&](std::size_t j) { return middles_[j].out_lane_free(p, lane); },
-                "serve_lane");
-    }
+  // Re-derive all four row families, under the fault state synced first.
+  sync_fault_rows();
+  MiddleRows expected;
+  derive_rows(expected);
+  if (!(expected == rows_)) {
+    throw std::logic_error(
+        "ThreeStageNetwork: middle-stage rows diverged from module occupancy "
+        "and usable lanes");
   }
 }
 

@@ -31,8 +31,10 @@
 // it walks the route tree in place, and its request()/route() build values.
 //
 // Thread-safety contract, per method class:
-//   * install/reinstall/release/try_release, check_route and find_connection
-//     write network state or mutable scratch -- exclusive access required.
+//   * install/reinstall/release/try_release, check_route, find_connection,
+//     sync_fault_rows and self_check write network state or mutable scratch
+//     (the last two may re-derive the middle-stage rows) -- exclusive access
+//     required.
 //     find_connection materializes a view into one network-owned entry; it
 //     is kept only for the session benchmark's mirror (sessionbench/), and
 //     in-tree readers use views instead.
@@ -238,16 +240,16 @@ class ThreeStageNetwork {
 
   // -- fault awareness (src/faults) -----------------------------------------
   /// Attach (or detach, with nullptr) a fault model whose geometry matches
-  /// this network; the caller keeps ownership. While attached, routing and
-  /// route validation treat failed resources as unusable. With no model
-  /// attached -- or an attached model carrying no active fault -- behavior
-  /// is bit-identical to a fault-free network.
+  /// this network, and re-derive the middle-stage rows under it; the caller
+  /// keeps ownership. While attached, routing and route validation treat
+  /// failed resources as unusable. With no model attached -- or an attached
+  /// model carrying no active fault -- behavior is bit-identical to a
+  /// fault-free network.
   void attach_fault_model(const FaultModel* faults);
   [[nodiscard]] const FaultModel* fault_model() const { return faults_; }
 
   /// The fault model, but only when it currently carries at least one
-  /// active fault (the routing fast path: nullptr means "take the
-  /// fault-free code path").
+  /// active fault (nullptr = every lane of every link is usable).
   [[nodiscard]] const FaultModel* active_fault_model() const {
     return faults_ != nullptr && faults_->any() ? faults_ : nullptr;
   }
@@ -265,26 +267,36 @@ class ThreeStageNetwork {
     return faults == nullptr ? middles_[j].out_lane_mask() : faults->link23_usable_lanes(j, p);
   }
 
-  // -- middle-stage occupancy rows (DESIGN.md §3.10) ------------------------
+  // -- middle-stage rows (DESIGN.md §3.10) ----------------------------------
   /// Words per row: ceil(m / 64). Bit j of a row stands for middle module j.
   [[nodiscard]] std::size_t row_words() const { return row_words_; }
+  /// Re-derive the rows when the attached fault model's epoch has moved
+  /// since they were last derived; one compare otherwise. The rows reflect
+  /// the fault state as of the last sync (the Router syncs before every
+  /// gather, self_check before it checks).
+  void sync_fault_rows() const {
+    if (faults_ != nullptr && faults_->epoch() != rows_epoch_) {
+      derive_rows(rows_);
+      rows_epoch_ = faults_->epoch();
+    }
+  }
   /// Candidate row of input module `in_module`: bit j set iff lane `lane` is
-  /// free on the link in_module -> j, or, with lane == kNoWavelength, iff
-  /// some lane of that link is free.
+  /// free and usable on the link in_module -> j, or, with lane ==
+  /// kNoWavelength, iff some lane of that link is.
   [[nodiscard]] const std::uint64_t* candidate_row(std::size_t in_module,
                                                    Wavelength lane) const {
     return lane == kNoWavelength
-               ? cand_any_.data() + in_module * row_words_
-               : cand_lane_.data() + (in_module * params_.k + lane) * row_words_;
+               ? rows_.cand_any.data() + in_module * row_words_
+               : rows_.cand_lane.data() + (in_module * params_.k + lane) * row_words_;
   }
   /// Serve row of output module `out_module`: bit j set iff lane `lane` is
-  /// free on the link j -> out_module, or, with lane == kNoWavelength, iff
-  /// some lane of that link is free.
+  /// free and usable on the link j -> out_module, or, with lane ==
+  /// kNoWavelength, iff some lane of that link is.
   [[nodiscard]] const std::uint64_t* serve_row(std::size_t out_module,
                                                Wavelength lane) const {
     return lane == kNoWavelength
-               ? serve_any_.data() + out_module * row_words_
-               : serve_lane_.data() + (out_module * params_.k + lane) * row_words_;
+               ? rows_.serve_any.data() + out_module * row_words_
+               : rows_.serve_lane.data() + (out_module * params_.k + lane) * row_words_;
   }
 
   // -- middle-stage busy counts (the engine's health publish) ----------------
@@ -413,9 +425,9 @@ class ThreeStageNetwork {
   /// the modules succeeds and leaves them idle (no lane held twice, none
   /// held without a record), every busy-lane count matches its words, the
   /// output endpoint words match the records' request outputs, all four
-  /// middle-stage row families match a re-derivation from the module
-  /// occupancy words, and busy_middle_lanes() matches the middles' counts.
-  /// Throws std::logic_error on failure.
+  /// middle-stage row families (synced first) match a re-derivation from
+  /// the module occupancy and usable-lane words, and busy_middle_lanes()
+  /// matches the middles' counts. Throws std::logic_error on failure.
   void self_check() const;
 
  private:
@@ -473,6 +485,20 @@ class ThreeStageNetwork {
   /// Occupy (or vacate) every transit of a record and bring the
   /// middle-stage row bits they touch up to date. O(route size).
   void apply_record(const RecordView& view, bool occupy);
+
+  /// The four middle-stage row families, row_words_ words per row (see
+  /// candidate_row / serve_row).
+  struct MiddleRows {
+    std::vector<std::uint64_t> cand_lane;   // (i * k + lane) * row_words_
+    std::vector<std::uint64_t> cand_any;    // i * row_words_
+    std::vector<std::uint64_t> serve_lane;  // (p * k + lane) * row_words_
+    std::vector<std::uint64_t> serve_any;   // p * row_words_
+    friend bool operator==(const MiddleRows&, const MiddleRows&) = default;
+  };
+  /// Fill every row of `rows` from the module occupancy words and the
+  /// usable-lane words, writing into its storage once sized.
+  /// O(r * m + free lanes).
+  void derive_rows(MiddleRows& rows) const;
   /// The record of an active slot.
   [[nodiscard]] RecordView view_of(std::uint32_t slot) const {
     const ConnectionSlot& entry = connection_slots_[slot];
@@ -510,14 +536,13 @@ class ThreeStageNetwork {
   // The entry find_connection hands out.
   mutable ConnectionView::Entry found_;
 
-  // Middle-stage occupancy rows, row_words_ words each (see candidate_row /
-  // serve_row). Exact after every install/reinstall/release; they hold
-  // occupancy only -- the Router filters faults on top.
+  // Middle-stage rows: a bit means free and usable. install, reinstall and
+  // release keep them exact in O(route); a fault change since rows_epoch_
+  // is caught by sync_fault_rows, which may run under a const self_check,
+  // hence mutable.
   std::size_t row_words_ = 0;
-  std::vector<std::uint64_t> cand_lane_;   // (i * k + lane) * row_words_
-  std::vector<std::uint64_t> cand_any_;    // i * row_words_
-  std::vector<std::uint64_t> serve_lane_;  // (p * k + lane) * row_words_
-  std::vector<std::uint64_t> serve_any_;   // p * row_words_
+  mutable MiddleRows rows_;
+  mutable std::uint64_t rows_epoch_ = 0;  // the attached model's epoch they reflect
 
   // Middles touched since the last drain_dirty_middles, one bit each in a
   // row laid out like the rows above, and their busy lanes' running total.

@@ -4,7 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "faults/fault_model.h"
 #include "util/metrics.h"
 #include "util/trace_span.h"
 
@@ -39,17 +38,6 @@ inline void set_bit(std::vector<std::uint64_t>& words, std::size_t i) {
 }
 inline void clear_bit(std::vector<std::uint64_t>& words, std::size_t i) {
   words[i >> 6] &= ~(1ull << (i & 63));
-}
-
-/// `word` (word w of a middle-module row) with every set bit j for which
-/// usable(j) is false cleared.
-template <typename Usable>
-std::uint64_t keep_usable(std::uint64_t word, std::size_t w, Usable&& usable) {
-  for (std::uint64_t bits = word; bits != 0; bits &= bits - 1) {
-    const std::size_t j = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-    if (!usable(j)) word &= ~(1ull << (j & 63));
-  }
-  return word;
 }
 
 }  // namespace
@@ -154,54 +142,33 @@ bool Router::build_demands(const MulticastRequest& request) const {
 bool Router::gather_rows(std::size_t in_module, Wavelength source_lane) const {
   RouterMetrics& counters = RouterMetrics::get();
   counters.middle_probes.add(network_->params().m);
-  // The rows hold occupancy only. `faults` stays null unless a model is
-  // attached AND carries an active fault; then each set bit is kept iff the
-  // link has a lane that is usable, free, and accepted by the demand (a
-  // failed middle's usable words are 0). The network is never notified of
-  // faults.
-  const FaultModel* faults = network_->active_fault_model();
+  // A row bit means free and usable, once the rows have caught up with the
+  // fault model (a failed middle's bits are clear).
+  network_->sync_fault_rows();
   const Wavelength cand_lane =
       network_->construction() == Construction::kMswDominant ? source_lane : kNoWavelength;
-  const std::uint64_t cand_lanes = accepted_lanes(cand_lane);
   const std::uint64_t* cand_row = network_->candidate_row(in_module, cand_lane);
-  const SwitchModule& input = network_->input_module(in_module);
   std::size_t n_candidates = 0;
   for (std::size_t w = 0; w < cand_words_; ++w) {
-    std::uint64_t word = cand_row[w];
-    if (faults != nullptr) {
-      word = keep_usable(word, w, [&](std::size_t j) {
-        return (faults->link12_usable_lanes(in_module, j) & ~input.out_word(j) &
-                cand_lanes) != 0;
-      });
-    }
-    cand_mask_[w] = word;
-    full_cover_[w] = word;
-    n_candidates += static_cast<std::size_t>(std::popcount(word));
+    cand_mask_[w] = full_cover_[w] = cand_row[w];
+    n_candidates += static_cast<std::size_t>(std::popcount(cand_row[w]));
   }
   counters.candidates_per_attempt.record(n_candidates);
   if (n_candidates == 0) return false;
 
   // serves_ row t = the serve row of target t under its link-lane
-  // requirement AND the candidate mask, then fault-filtered like above.
-  // The same pass ANDs every row into full_cover_ for the root's fast path.
+  // requirement AND the candidate mask. The same pass ANDs every row into
+  // full_cover_ for the root's fast path.
   const std::size_t n_targets = targets_.size();
   if (serves_.size() < n_targets * cand_words_) serves_.resize(n_targets * cand_words_);
   for (std::size_t t = 0; t < n_targets; ++t) {
     const std::size_t target = targets_[t];
-    const Wavelength lane = demands_[target].required_link_lane;
-    const std::uint64_t lanes = accepted_lanes(lane);
-    const std::uint64_t* serve = network_->serve_row(target, lane);
+    const std::uint64_t* serve =
+        network_->serve_row(target, demands_[target].required_link_lane);
     std::uint64_t* row = serves_.data() + t * cand_words_;
     for (std::size_t w = 0; w < cand_words_; ++w) {
-      std::uint64_t word = serve[w] & cand_mask_[w];
-      if (faults != nullptr) {
-        word = keep_usable(word, w, [&](std::size_t j) {
-          return (faults->link23_usable_lanes(j, target) &
-                  ~network_->middle_module(j).out_word(target) & lanes) != 0;
-        });
-      }
-      row[w] = word;
-      full_cover_[w] &= word;
+      row[w] = serve[w] & cand_mask_[w];
+      full_cover_[w] &= row[w];
     }
   }
   return true;

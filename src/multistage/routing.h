@@ -35,10 +35,10 @@
 // Hot-path data layout (see DESIGN.md): the candidate and serve sets are
 // gathered from the network's always-live middle-stage rows (m-bit word
 // masks, ThreeStageNetwork::candidate_row/serve_row), so no request probes
-// individual middle modules. The rows hold occupancy only; with an active
-// fault model each set bit is kept iff the link's usable-lane word
-// (FaultModel::link12_usable_lanes / link23_usable_lanes) ANDed with its free
-// lanes and the lanes the demand accepts is nonzero, and link lanes are
+// individual middle modules. A row bit means the link has a lane that is
+// free and usable under the attached fault model (the network re-derives
+// the rows when the model's epoch moves; gather_rows syncs them first), so
+// one body serves faulted and fault-free networks alike; link lanes are
 // picked from free & usable. The search then runs entirely on per-router
 // scratch buffers -- demands in a flat array indexed by output module (with
 // stamp-based reset), the serves relation and cover state as 64-bit word
@@ -136,8 +136,8 @@ class Router {
   //                        is unsatisfiable under the output model (blocked
   //                        before the middle stage is consulted).
   //   gather_rows        - cand_mask_ and serves_ from the network's rows,
-  //                        filtered through the fault model when one is
-  //                        active; false = no candidate middle.
+  //                        synced with the fault model first; false = no
+  //                        candidate middle.
   //   cover_and_materialize - Lemma-4 cover search + route materialization.
   [[nodiscard]] bool build_demands(const MulticastRequest& request) const;
   [[nodiscard]] bool gather_rows(std::size_t in_module, Wavelength source_lane) const;

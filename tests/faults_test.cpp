@@ -1,6 +1,9 @@
 // Fault injection, degraded nonblocking bounds, and connection restoration.
 #include <algorithm>
 #include <set>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +13,8 @@
 #include "faults/resilience.h"
 #include "sim/blocking_sim.h"
 #include "sim/converter_pool.h"
+#include "sim/request.h"
+#include "util/rng.h"
 
 namespace wdm {
 namespace {
@@ -233,6 +238,167 @@ TEST(FaultRouting, FailedMiddleRejectedByCheckRoute) {
   const auto reroute = sw.router().find_route(request);
   ASSERT_TRUE(reroute.has_value());
   EXPECT_NE(reroute->branches.front().middle, route->branches.front().middle);
+}
+
+// -- fault-aware middle-stage rows ---------------------------------------------
+// A row bit means free and usable. A fault injected after attach reaches the
+// rows at the next sync (self_check syncs first, so it never trips on one),
+// and a repair or a detach brings them back to a fault-free twin's.
+
+// An attached network follows its model by epoch; assigning another model's
+// state over it could bring back an epoch the network already saw.
+static_assert(!std::is_copy_assignable_v<FaultModel>);
+static_assert(!std::is_move_assignable_v<FaultModel>);
+
+bool row_bit(const std::uint64_t* row, std::size_t j) {
+  return (row[j >> 6] >> (j & 63) & 1) != 0;
+}
+
+/// Every row bit against the per-lane definition: bit j of candidate_row(e,
+/// lane) iff `lane` is free on link e -> j and usable under `faults`, of
+/// candidate_row(e, kNoWavelength) iff some lane is; serve_row(e, .) the same
+/// for link j -> e.
+void expect_rows_free_and_usable(const ThreeStageNetwork& network,
+                                 const FaultModel& faults) {
+  const ClosParams& params = network.params();
+  for (std::size_t e = 0; e < params.r; ++e) {
+    for (std::size_t j = 0; j < params.m; ++j) {
+      bool any12 = false;
+      bool any23 = false;
+      for (Wavelength lane = 0; lane < params.k; ++lane) {
+        const bool free12 = network.input_module(e).out_lane_free(j, lane) &&
+                            faults.link12_usable(e, j, lane);
+        const bool free23 = network.middle_module(j).out_lane_free(e, lane) &&
+                            faults.link23_usable(j, e, lane);
+        EXPECT_EQ(row_bit(network.candidate_row(e, lane), j), free12)
+            << "link " << e << "->" << j << " lane " << int(lane);
+        EXPECT_EQ(row_bit(network.serve_row(e, lane), j), free23)
+            << "link " << j << "->" << e << " lane " << int(lane);
+        any12 = any12 || free12;
+        any23 = any23 || free23;
+      }
+      EXPECT_EQ(row_bit(network.candidate_row(e, kNoWavelength), j), any12);
+      EXPECT_EQ(row_bit(network.serve_row(e, kNoWavelength), j), any23);
+    }
+  }
+}
+
+void expect_same_rows(const ThreeStageNetwork& a, const ThreeStageNetwork& b) {
+  const ClosParams& params = a.params();
+  for (std::size_t e = 0; e < params.r; ++e) {
+    for (Wavelength lane = 0; lane <= params.k; ++lane) {
+      const Wavelength row = lane == params.k ? kNoWavelength : lane;
+      for (std::size_t w = 0; w < a.row_words(); ++w) {
+        EXPECT_EQ(a.candidate_row(e, row)[w], b.candidate_row(e, row)[w])
+            << "candidate row " << e << " lane " << int(row);
+        EXPECT_EQ(a.serve_row(e, row)[w], b.serve_row(e, row)[w])
+            << "serve row " << e << " lane " << int(row);
+      }
+    }
+  }
+}
+
+/// Bits of the rows `component` takes out: (stage-1-2 link?, edge module,
+/// middle, lane or kNoWavelength for every lane).
+struct KilledLink {
+  bool link12;
+  std::size_t edge;
+  std::size_t middle;
+  Wavelength lane;
+};
+
+std::vector<KilledLink> killed_links(const FaultComponent& c, std::size_t r) {
+  switch (c.kind) {
+    case FaultComponentKind::kMiddleModule: {
+      std::vector<KilledLink> links;
+      for (std::size_t e = 0; e < r; ++e) {
+        links.push_back({true, e, c.a, kNoWavelength});
+        links.push_back({false, e, c.a, kNoWavelength});
+      }
+      return links;
+    }
+    case FaultComponentKind::kLink12: return {{true, c.a, c.b, kNoWavelength}};
+    case FaultComponentKind::kLink23: return {{false, c.b, c.a, kNoWavelength}};
+    case FaultComponentKind::kLink12Lane: return {{true, c.a, c.b, c.lane}};
+    case FaultComponentKind::kLink23Lane: return {{false, c.b, c.a, c.lane}};
+    case FaultComponentKind::kConverterSlot: break;
+  }
+  return {};
+}
+
+TEST(FaultRows, EveryFaultKindReachesTheRowsAndRepairRestoresThem) {
+  const ClosParams params = small_params();  // n = 2, r = 3, m = 4, k = 2
+  const FaultComponent components[] = {
+      {FaultComponentKind::kMiddleModule, 1, 0, 0},
+      {FaultComponentKind::kLink12, 0, 2, 0},
+      {FaultComponentKind::kLink23, 3, 1, 0},
+      {FaultComponentKind::kLink12Lane, 1, 0, 1},
+      {FaultComponentKind::kLink23Lane, 2, 2, 1},
+  };
+  for (const Construction construction :
+       {Construction::kMswDominant, Construction::kMawDominant}) {
+    SCOPED_TRACE(construction == Construction::kMswDominant ? "msw-dominant"
+                                                            : "maw-dominant");
+    ThreeStageNetwork network(params, construction, MulticastModel::kMAW);
+    ThreeStageNetwork twin(params, construction, MulticastModel::kMAW);
+    FaultModel faults(params);
+    network.attach_fault_model(&faults);
+    Router router(network, {2, RouteSearch::kExhaustive, LanePolicy::kFirstFit});
+    Rng rng(0xFA17);
+    // Sessions are routed on the faulted network and installed verbatim on
+    // the fault-free twin, so both always hold the same occupancy.
+    std::vector<std::pair<ConnectionId, ConnectionId>> live;
+    const auto churn = [&](int steps) {
+      for (int step = 0; step < steps; ++step) {
+        if (!live.empty() && rng.next_bool(0.3)) {
+          const std::size_t victim = rng.next_below(live.size());
+          router.disconnect(live[victim].first);
+          twin.release(live[victim].second);
+          live[victim] = live.back();
+          live.pop_back();
+        } else if (const auto request = random_admissible_request(rng, network, {1, 3})) {
+          if (const auto id = router.try_connect(*request)) {
+            live.emplace_back(*id, twin.install(*request, network.connections().at(*id).route()));
+          }
+        }
+      }
+    };
+    churn(12);
+    ASSERT_FALSE(live.empty());
+    for (const FaultComponent& component : components) {
+      SCOPED_TRACE(component.to_string());
+      faults.fail(component);
+      EXPECT_NO_THROW(network.self_check());  // no route since the fail
+      expect_rows_free_and_usable(network, faults);
+      for (const KilledLink& link : killed_links(component, params.r)) {
+        const auto row = [&](Wavelength lane) {
+          return link.link12 ? network.candidate_row(link.edge, lane)
+                             : network.serve_row(link.edge, lane);
+        };
+        for (Wavelength lane = 0; lane < params.k; ++lane) {
+          if (link.lane == kNoWavelength || link.lane == lane) {
+            EXPECT_FALSE(row_bit(row(lane), link.middle)) << int(lane);
+          }
+        }
+        if (link.lane == kNoWavelength) {
+          EXPECT_FALSE(row_bit(row(kNoWavelength), link.middle));
+        }
+      }
+      churn(8);  // routes around the fault; the twin takes the same routes
+      network.self_check();
+      faults.repair(component);
+      network.self_check();
+      expect_same_rows(network, twin);
+    }
+    // Detaching a model that still carries faults restores the twin's rows.
+    for (const FaultComponent& component : components) faults.fail(component);
+    churn(8);
+    network.self_check();
+    network.attach_fault_model(nullptr);
+    expect_same_rows(network, twin);
+    network.self_check();
+    twin.self_check();
+  }
 }
 
 TEST(FaultProcess, TimelineDeterministicSortedAndAlternating) {

@@ -198,9 +198,8 @@ TEST(HotPathAllocations, SteadyStateChurnIsAllocationFree) {
 
 TEST(HotPathAllocations, TwoWordRowsWithFaultsAreAllocationFree) {
   // The row gather at m > 64 (every middle-stage row spans two words) with
-  // an active fault model, so each gathered bit also passes the fault
-  // filter: the network's rows are sized at construction and the filter
-  // only reads the fault model.
+  // an active fault model, so the rows carry the failed lanes: they are
+  // sized at construction, and attach re-derives them in place.
   set_metrics_enabled(true);
 
   MultistageSwitch sw(ClosParams{4, 8, 70, 4}, Construction::kMswDominant,
@@ -217,6 +216,48 @@ TEST(HotPathAllocations, TwoWordRowsWithFaultsAreAllocationFree) {
   std::vector<ConnectionId> live;
   live.reserve(script.size());
   warm_up_then_expect_no_allocations(sw, script, live);
+}
+
+TEST(HotPathAllocations, FaultChangeMidChurnIsAllocationFree) {
+  // A middle fails a third of the way through each pass and is repaired at
+  // two thirds, inside the counted window, at m > 64 (two-word rows). Each
+  // change moves the fault epoch, so the next route re-derives every
+  // middle-stage row; that rebuild must write into the rows' storage.
+  set_metrics_enabled(true);
+
+  MultistageSwitch sw(ClosParams{4, 8, 70, 4}, Construction::kMswDominant,
+                      MulticastModel::kMSW);
+  FaultModel faults(sw.network().params());
+  sw.network().attach_fault_model(&faults);
+  Rng rng(0xFA17);
+  const std::vector<Op> script =
+      make_script(sw.port_count(), sw.lane_count(), rng, 2000);
+  const std::uint64_t epoch = faults.epoch();
+
+  std::vector<ConnectionId> live;
+  live.reserve(script.size());
+  warm_up_then_expect_no_allocations(
+      sw, script, live,
+      [&faults](MultistageSwitch& s, const std::vector<Op>& ops,
+                std::vector<ConnectionId>& l) {
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+          if (i == ops.size() / 3) faults.fail_middle(0);
+          if (i == 2 * ops.size() / 3) faults.repair_middle(0);
+          const Op& op = ops[i];
+          if (op.connect) {
+            if (const auto id = s.try_connect(op.request)) l.push_back(*id);
+          } else if (!l.empty()) {
+            const std::size_t victim = op.victim_rank % l.size();
+            s.disconnect(l[victim]);
+            l[victim] = l.back();
+            l.pop_back();
+          }
+        }
+        for (const ConnectionId id : l) s.disconnect(id);
+        l.clear();
+      });
+  EXPECT_GT(faults.epoch(), epoch + 4);  // warm-up plus two measured passes
+  sw.network().self_check();
 }
 
 TEST(HotPathAllocations, RepackEnabledIdleEngineStaysAllocationFree) {

@@ -8,8 +8,8 @@
 // then enumerates every subset of at most x candidates. On random small
 // geometries (both constructions x MSW/MSDW/MAW network models), with
 // occupancy built by churn and, in half the cases, a fault model carrying
-// random failures -- some injected after it was attached, so the network is
-// never told about them -- it checks:
+// random failures -- some injected after it was attached, which the network
+// sees only through the fault model's epoch -- it checks:
 //   * the exhaustive router finds a route iff the oracle finds a cover;
 //   * every route found (exhaustive or greedy) passes check_route;
 //   * a greedy route implies the oracle has a cover;
@@ -288,8 +288,9 @@ TEST(Lemma4Oracle, TwoWordRowsMatchOracle) {
 
 TEST(Lemma4Oracle, FaultsInjectedAfterAttachMatchOracle) {
   // Attach an empty fault model, fill the network, then fail resources that
-  // carry live routes. The network is never told; the router's fault filter
-  // must still agree with the oracle on every probe.
+  // carry live routes. The network is never told; the rows it re-derives
+  // when the fault epoch moves must still agree with the oracle on every
+  // probe.
   OracleTally tally;
   for (const Construction construction :
        {Construction::kMswDominant, Construction::kMawDominant}) {
