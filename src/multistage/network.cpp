@@ -1,6 +1,7 @@
 #include "multistage/network.h"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 #include <stdexcept>
 
@@ -40,6 +41,19 @@ T& unpark(std::vector<T>& parked, std::vector<T>& into) {
   into.push_back(std::move(parked.back()));
   parked.pop_back();
   return into.back();
+}
+
+/// Transpose a 64 x 64 bit matrix in place: bit c of a[i] moves to bit i of
+/// a[c]. Each round swaps the off-diagonal blocks of half the size.
+void transpose64(std::array<std::uint64_t, 64>& a) {
+  std::uint64_t mask = 0x00000000FFFFFFFFull;
+  for (std::size_t j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (std::size_t row = 0; row < 64; row = ((row | j) + 1) & ~j) {  // rows without bit j
+      const std::uint64_t t = ((a[row] >> j) ^ a[row | j]) & mask;
+      a[row] ^= t << j;
+      a[row | j] ^= t;
+    }
+  }
 }
 
 }  // namespace
@@ -500,9 +514,10 @@ void ThreeStageNetwork::apply_record(const RecordView& view, bool occupy) {
   // Row bits follow the module words: with `free` the link's free and
   // usable lanes after the transit, the per-lane bit is that lane's bit of
   // it and the any-lane bit is free != 0, on occupy and vacate alike.
-  const auto assign_bit = [](std::uint64_t* row, std::size_t j, bool value) {
-    const std::uint64_t bit = 1ull << (j & 63);
-    row[j >> 6] = value ? row[j >> 6] | bit : row[j >> 6] & ~bit;
+  const auto assign_bit = [&](std::size_t edge_row, Wavelength lane, std::size_t j,
+                              bool value) {
+    std::uint64_t& word = rows_[row_offset(edge_row, lane) + (j >> 6)];
+    word = value ? word | 1ull << (j & 63) : word & ~(1ull << (j & 63));
   };
   for_each_transit(view, [&](Stage stage, std::size_t module,
                                const ModulePortLane& in,
@@ -516,15 +531,13 @@ void ThreeStageNetwork::apply_record(const RecordView& view, bool occupy) {
                                   : busy_middle_lanes_ - outs.size();
       const std::uint64_t free =
           link12_usable_lanes(in.port, module) & ~inputs_[in.port].out_word(module);
-      assign_bit(rows_.cand_lane.data() + (in.port * params_.k + in.lane) * row_words_,
-                 module, (free >> in.lane & 1) != 0);
-      assign_bit(rows_.cand_any.data() + in.port * row_words_, module, free != 0);
+      assign_bit(in.port, in.lane, module, (free >> in.lane & 1) != 0);
+      assign_bit(in.port, kNoWavelength, module, free != 0);
     } else if (stage == Stage::kOutput) {  // link in.port -> module
       const std::uint64_t free =
           link23_usable_lanes(in.port, module) & ~middles_[in.port].out_word(module);
-      assign_bit(rows_.serve_lane.data() + (module * params_.k + in.lane) * row_words_,
-                 in.port, (free >> in.lane & 1) != 0);
-      assign_bit(rows_.serve_any.data() + module * row_words_, in.port, free != 0);
+      assign_bit(params_.r + module, in.lane, in.port, (free >> in.lane & 1) != 0);
+      assign_bit(params_.r + module, kNoWavelength, in.port, free != 0);
     }
   });
 }
@@ -594,31 +607,31 @@ std::vector<bool> ThreeStageNetwork::middle_plane_destinations(
   return destinations;
 }
 
-void ThreeStageNetwork::derive_rows(MiddleRows& rows) const {
-  const std::size_t r = params_.r;
-  const std::size_t k = params_.k;
-  rows.cand_lane.assign(r * k * row_words_, 0);
-  rows.cand_any.assign(r * row_words_, 0);
-  rows.serve_lane.assign(r * k * row_words_, 0);
-  rows.serve_any.assign(r * row_words_, 0);
-  // Set bit j of edge module `edge`'s row for each lane in `free` (the
-  // link's free and usable lanes), and of its any-lane row when there is one.
-  const auto set_free = [&](std::vector<std::uint64_t>& lane_rows,
-                            std::vector<std::uint64_t>& any_rows, std::size_t edge,
-                            std::size_t j, std::uint64_t free) {
-    const std::uint64_t bit = 1ull << (j & 63);
-    if (free != 0) any_rows[edge * row_words_ + (j >> 6)] |= bit;
-    for (; free != 0; free &= free - 1) {
-      const auto lane = static_cast<std::size_t>(std::countr_zero(free));
-      lane_rows[(edge * k + lane) * row_words_ + (j >> 6)] |= bit;
+void ThreeStageNetwork::derive_rows(std::vector<std::uint64_t>& rows) const {
+  rows.resize(2 * params_.r * (params_.k + 1) * row_words_);
+  // Word w of an edge row covers middles 64w..64w+63. With free[b] =
+  // lanes(64w + b), the free and usable lanes of the link to (or from) that
+  // middle, the lane-λ word is bit λ of every free[b] -- a 64 x 64 bit
+  // transpose -- and the any-lane word is the OR of the lane words.
+  std::array<std::uint64_t, 64> free{};
+  const auto store = [&](std::size_t edge_row, std::size_t w, const auto& lanes) {
+    for (std::size_t j = 64 * w; j < 64 * w + 64; ++j) free[j & 63] = j < params_.m ? lanes(j) : 0;
+    transpose64(free);
+    std::uint64_t any = 0;
+    for (Wavelength lane = 0; lane < params_.k; ++lane) {
+      rows[row_offset(edge_row, lane) + w] = free[lane];
+      any |= free[lane];
     }
+    rows[row_offset(edge_row, kNoWavelength) + w] = any;
   };
-  for (std::size_t edge = 0; edge < r; ++edge) {
-    for (std::size_t j = 0; j < params_.m; ++j) {
-      set_free(rows.cand_lane, rows.cand_any, edge, j,
-               link12_usable_lanes(edge, j) & ~inputs_[edge].out_word(j));
-      set_free(rows.serve_lane, rows.serve_any, edge, j,
-               link23_usable_lanes(j, edge) & ~middles_[j].out_word(edge));
+  for (std::size_t e = 0; e < params_.r; ++e) {
+    for (std::size_t w = 0; w < row_words_; ++w) {
+      store(e, w, [&](std::size_t j) {
+        return link12_usable_lanes(e, j) & ~inputs_[e].out_word(j);
+      });
+      store(params_.r + e, w, [&](std::size_t j) {
+        return link23_usable_lanes(j, e) & ~middles_[j].out_word(e);
+      });
     }
   }
 }
@@ -679,9 +692,9 @@ void ThreeStageNetwork::self_check() const {
 
   // Re-derive all four row families, under the fault state synced first.
   sync_fault_rows();
-  MiddleRows expected;
+  std::vector<std::uint64_t> expected;
   derive_rows(expected);
-  if (!(expected == rows_)) {
+  if (expected != rows_) {
     throw std::logic_error(
         "ThreeStageNetwork: middle-stage rows diverged from module occupancy "
         "and usable lanes");

@@ -32,9 +32,8 @@
 //
 // Thread-safety contract, per method class:
 //   * install/reinstall/release/try_release, check_route, find_connection,
-//     sync_fault_rows and self_check write network state or mutable scratch
-//     (the last two may re-derive the middle-stage rows) -- exclusive access
-//     required.
+//     sync_fault_rows and self_check (both may re-derive the middle-stage
+//     rows) write network state or mutable scratch -- exclusive access required.
 //     find_connection materializes a view into one network-owned entry; it
 //     is kept only for the session benchmark's mirror (sessionbench/), and
 //     in-tree readers use views instead.
@@ -285,18 +284,14 @@ class ThreeStageNetwork {
   /// kNoWavelength, iff some lane of that link is.
   [[nodiscard]] const std::uint64_t* candidate_row(std::size_t in_module,
                                                    Wavelength lane) const {
-    return lane == kNoWavelength
-               ? rows_.cand_any.data() + in_module * row_words_
-               : rows_.cand_lane.data() + (in_module * params_.k + lane) * row_words_;
+    return rows_.data() + row_offset(in_module, lane);
   }
   /// Serve row of output module `out_module`: bit j set iff lane `lane` is
   /// free and usable on the link j -> out_module, or, with lane ==
   /// kNoWavelength, iff some lane of that link is.
   [[nodiscard]] const std::uint64_t* serve_row(std::size_t out_module,
                                                Wavelength lane) const {
-    return lane == kNoWavelength
-               ? rows_.serve_any.data() + out_module * row_words_
-               : rows_.serve_lane.data() + (out_module * params_.k + lane) * row_words_;
+    return rows_.data() + row_offset(params_.r + out_module, lane);
   }
 
   // -- middle-stage busy counts (the engine's health publish) ----------------
@@ -486,19 +481,16 @@ class ThreeStageNetwork {
   /// middle-stage row bits they touch up to date. O(route size).
   void apply_record(const RecordView& view, bool occupy);
 
-  /// The four middle-stage row families, row_words_ words per row (see
-  /// candidate_row / serve_row).
-  struct MiddleRows {
-    std::vector<std::uint64_t> cand_lane;   // (i * k + lane) * row_words_
-    std::vector<std::uint64_t> cand_any;    // i * row_words_
-    std::vector<std::uint64_t> serve_lane;  // (p * k + lane) * row_words_
-    std::vector<std::uint64_t> serve_any;   // p * row_words_
-    friend bool operator==(const MiddleRows&, const MiddleRows&) = default;
-  };
+  /// Offset in rows_ of row `lane` of edge row e: e = i holds input module
+  /// i's candidate rows, e = r + p output module p's serve rows, each its k
+  /// per-lane rows and then the any-lane row (lane == kNoWavelength).
+  [[nodiscard]] std::size_t row_offset(std::size_t e, Wavelength lane) const {
+    return (e * (params_.k + 1) + (lane == kNoWavelength ? params_.k : lane)) * row_words_;
+  }
   /// Fill every row of `rows` from the module occupancy words and the
-  /// usable-lane words, writing into its storage once sized.
-  /// O(r * m + free lanes).
-  void derive_rows(MiddleRows& rows) const;
+  /// usable-lane words, writing into its storage once sized. One 64 x 64
+  /// bit transpose per 64 middles, edge module and stage: O(r * m) words.
+  void derive_rows(std::vector<std::uint64_t>& rows) const;
   /// The record of an active slot.
   [[nodiscard]] RecordView view_of(std::uint32_t slot) const {
     const ConnectionSlot& entry = connection_slots_[slot];
@@ -537,11 +529,10 @@ class ThreeStageNetwork {
   mutable ConnectionView::Entry found_;
 
   // Middle-stage rows: a bit means free and usable. install, reinstall and
-  // release keep them exact in O(route); a fault change since rows_epoch_
-  // is caught by sync_fault_rows, which may run under a const self_check,
-  // hence mutable.
+  // release keep them exact in O(route); sync_fault_rows catches a fault
+  // change since rows_epoch_, also under a const self_check, hence mutable.
   std::size_t row_words_ = 0;
-  mutable MiddleRows rows_;
+  mutable std::vector<std::uint64_t> rows_;  // see row_offset
   mutable std::uint64_t rows_epoch_ = 0;  // the attached model's epoch they reflect
 
   // Middles touched since the last drain_dirty_middles, one bit each in a
